@@ -23,7 +23,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all|fig1|…|fig7|ablation|staticmerge|triples|cloud|extpairs|sensitivity|faults|overload|crashchaos|fleetchaos|rollingchaos|parbench|modelbench|dispatch|simbench|fleetload")
+	exp := flag.String("exp", "all", "experiment: all|fig1|…|fig7|ablation|staticmerge|triples|cloud|extpairs|sensitivity|faults|overload|crashchaos|fleetchaos|rollingchaos|parbench|modelbench|dispatch|fleetload")
 	loop := flag.Float64("loop", 3.0, "solo kernel loop target in seconds (paper used ~30)")
 	seed := flag.Int64("seed", 1, "trace-model and chaos-driver seed (same seed = same tables)")
 	chaosSessions := flag.Int("chaos-sessions", 12, "hostile client sessions per faults chaos run")
@@ -33,12 +33,9 @@ func main() {
 	profileTable := flag.String("profiles", "", "profile-table JSON: loaded if present, saved after table2")
 	parallel := flag.Int("parallel", runtime.NumCPU(),
 		"worker-pool width for experiment cells (output is byte-identical at any value; 1 = serial)")
-	simWorkers := flag.Int("sim-workers", runtime.NumCPU(),
-		"intra-simulation worker count: sharded sub-simulations and engine fan (byte-identical at any value; 1 = serial)")
 	benchOut := flag.String("bench-out", "BENCH_harness.json", "file the parbench experiment writes its record to")
 	modelBenchOut := flag.String("model-bench-out", "BENCH_model.json", "file the modelbench experiment writes its record to")
 	dispatchBenchOut := flag.String("dispatch-bench-out", "BENCH_dispatch.json", "file the dispatch experiment writes its record to")
-	simBenchOut := flag.String("sim-bench-out", "BENCH_sim.json", "file the simbench experiment writes its record to")
 	fleetBenchOut := flag.String("fleet-bench-out", "BENCH_fleet.json", "file the fleetload experiment writes its record to")
 	fleetSessions := flag.Int("fleet-sessions", 100_000, "concurrent sessions per fleetload leg (CI smoke uses a reduced count)")
 	flag.Parse()
@@ -79,16 +76,6 @@ func main() {
 		return
 	}
 
-	if selected == "simbench" {
-		// Benchmark mode: not part of -exp all, because it deliberately runs
-		// the heaviest cell twice (cold serial, cold sharded).
-		if err := runSimbench(dev, *loop, *seed, *simWorkers, *simBenchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "slatebench: simbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if selected == "fleetload" {
 		// Benchmark mode: not part of -exp all, because it deliberately runs
 		// the 100k-session storm twice (baseline leg, degraded leg) twice
@@ -110,7 +97,7 @@ func main() {
 		return
 	}
 
-	h := harness.New(harness.Config{LoopSeconds: *loop, Dev: dev, Seed: *seed, Parallel: *parallel, SimWorkers: *simWorkers})
+	h := harness.New(harness.Config{LoopSeconds: *loop, Dev: dev, Seed: *seed, Parallel: *parallel})
 
 	type experiment struct {
 		name string

@@ -5,7 +5,6 @@ import (
 
 	"slate/internal/cudart"
 	"slate/internal/daemon"
-	"slate/internal/kern"
 	"slate/internal/mps"
 	"slate/internal/run"
 	"slate/internal/sched"
@@ -50,13 +49,8 @@ func (h *Harness) runApps(s Sched, apps []*workloads.App) ([]run.Result, error) 
 }
 
 // jobsFor builds the ~30s-loop jobs for the given applications, calibrating
-// solo times first (sharded across SimWorkers when enabled).
+// solo times first.
 func (h *Harness) jobsFor(apps []*workloads.App) ([]run.Job, error) {
-	specs := make([]*kern.Spec, len(apps))
-	for i, app := range apps {
-		specs[i] = app.Kernel
-	}
-	h.preheatSolos(specs)
 	jobs := make([]run.Job, len(apps))
 	for i, app := range apps {
 		solo, err := h.soloKernelSec(app.Kernel)
@@ -79,18 +73,13 @@ func (h *Harness) runJobs(s Sched, jobs []run.Job) ([]run.Result, error) {
 	return run.NewDriver(clk, backend).Run(jobs)
 }
 
-// newBackend builds one scheduler's backend on the given clock, plumbing the
-// intra-simulation worker count into its engine.
+// newBackend builds one scheduler's backend on the given clock.
 func (h *Harness) newBackend(s Sched, clk *vtime.Clock) (run.Backend, error) {
 	switch s {
 	case CUDA:
-		b := cudart.New(h.Dev, clk, h.Model)
-		b.Eng.Workers = h.simWorkers
-		return b, nil
+		return cudart.New(h.Dev, clk, h.Model), nil
 	case MPS:
-		b := mps.New(h.Dev, clk, h.Model)
-		b.Eng.Workers = h.simWorkers
-		return b, nil
+		return mps.New(h.Dev, clk, h.Model), nil
 	case Slate:
 		return h.newSlateSim(clk), nil
 	default:
@@ -102,7 +91,6 @@ func (h *Harness) newBackend(s Sched, clk *vtime.Clock) (run.Backend, error) {
 // harness's profiler so kernels are profiled once across all cells.
 func (h *Harness) newSlateSim(clk *vtime.Clock) *daemon.SimBackend {
 	sim := daemon.NewSimWith(h.Dev, clk, h.Model, h.Prof)
-	sim.Eng.Workers = h.simWorkers
 	// One-time injection/compilation costs are defined relative to the
 	// paper's ~30 s loop methodology; scale them with the configured
 	// loop length so shortened runs keep the measured overhead
@@ -111,49 +99,6 @@ func (h *Harness) newSlateSim(clk *vtime.Clock) *daemon.SimBackend {
 	sim.Costs.InjectSeconds *= scale
 	sim.Costs.CompileSeconds *= scale
 	return sim
-}
-
-// runJobsAllScheds executes the same jobs under every scheduler. The three
-// simulations are mutually independent — distinct clocks, engines, and
-// backends — so with SimWorkers > 1 they run as shards of one
-// vtime.ShardedClock under conservative windows; serially otherwise. The
-// per-scheduler results are byte-identical between the two paths: each
-// shard's event sequence is exactly the serial run's (DESIGN.md §15).
-func (h *Harness) runJobsAllScheds(jobs []run.Job) ([][]run.Result, error) {
-	scheds := Scheds()
-	out := make([][]run.Result, len(scheds))
-	if h.simWorkers <= 1 {
-		for i, s := range scheds {
-			rs, err := h.runJobs(s, jobs)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = rs
-		}
-		return out, nil
-	}
-	sc := vtime.NewSharded(len(scheds), simWindow)
-	sc.Workers = h.simWorkers
-	collects := make([]func() ([]run.Result, error), len(scheds))
-	for i, s := range scheds {
-		backend, err := h.newBackend(s, sc.Shard(i))
-		if err != nil {
-			return nil, err
-		}
-		collects[i] = run.NewDriver(sc.Shard(i), backend).Start(jobs)
-	}
-	limit := 50_000_000 * len(scheds)
-	if n := sc.Run(limit); n >= limit {
-		return nil, fmt.Errorf("harness: sharded scheduler runs did not converge")
-	}
-	for i, collect := range collects {
-		rs, err := collect()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = rs
-	}
-	return out, nil
 }
 
 // runSlateWithDecisions runs jobs under a fresh Slate daemon and returns

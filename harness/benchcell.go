@@ -7,11 +7,11 @@ import (
 )
 
 // HeaviestPairIndex returns the index (into workloads.Pairs()) of the Fig. 7
-// pairing with the most simulation work — the cell simbench times serial vs
-// sharded. "Work" is estimated statically from the kernel specs: event count
-// scales with the launch count of the ~30s loop, which is the loop target
-// over the roofline-estimated solo time. The estimate is a pure function of
-// the specs and the device, so every invocation benches the same cell.
+// pairing with the most simulation work. "Work" is estimated statically from
+// the kernel specs: event count scales with the launch count of the ~30s
+// loop, which is the loop target over the roofline-estimated solo time. The
+// estimate is a pure function of the specs and the device, so every
+// invocation benches the same cell.
 func (h *Harness) HeaviestPairIndex() int {
 	est := func(a *workloads.App) float64 {
 		k := a.Kernel
@@ -36,11 +36,8 @@ func (h *Harness) HeaviestPairIndex() int {
 }
 
 // SimBenchCell runs one Fig. 7 pairing end to end — solo calibration plus
-// the pair under all three schedulers — and returns the rendered row plus
-// CSV. With SimWorkers > 1 the constituent simulations execute as shards of
-// a ShardedClock (solos first, then the three scheduler co-runs) and the
-// engines fan their per-event hot path; the rendered bytes are identical to
-// the serial path's at every worker count.
+// the pair under all three schedulers, one serial simulation after another —
+// and returns the rendered row.
 func (h *Harness) SimBenchCell(p int) (string, error) {
 	pairs := workloads.Pairs()
 	if p < 0 || p >= len(pairs) {
@@ -52,15 +49,15 @@ func (h *Harness) SimBenchCell(p int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	all, err := h.runJobsAllScheds(jobs)
-	if err != nil {
-		return "", fmt.Errorf("pair %s: %w", name, err)
-	}
 	var mean [3]float64
-	for i, s := range Scheds() {
-		mean[s] = meanAppSec(all[i])
+	for _, s := range Scheds() {
+		rs, err := h.runJobs(s, jobs)
+		if err != nil {
+			return "", fmt.Errorf("pair %s: %w", name, err)
+		}
+		mean[s] = meanAppSec(rs)
 	}
-	out := fmt.Sprintf("simbench cell — pair %s (Fig. 7 row)\n", name)
+	out := fmt.Sprintf("Fig. 7 cell — pair %s\n", name)
 	var rows [][]string
 	for _, s := range Scheds() {
 		rows = append(rows, []string{

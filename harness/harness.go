@@ -31,17 +31,12 @@ type Config struct {
 	LoopSeconds float64
 	// Parallel bounds the worker pool running independent experiment cells
 	// (pairings × schedulers, sweep points, table rows). 0 or 1 runs
-	// serially. Output is byte-identical at every setting: cells write
-	// index-assigned slots and aggregates are computed in a serial-order
-	// post-pass, never from arrival order.
+	// serially. It is the harness's only parallelism: each cell is one
+	// serial simulation. Output is byte-identical at every setting: cells
+	// write index-assigned slots and aggregates are computed in a
+	// serial-order post-pass, never from arrival order.
 	Parallel int
-	// SimWorkers parallelizes INSIDE a single experiment cell: solo
-	// calibration runs execute as shards of a vtime.ShardedClock, the
-	// per-cell scheduler simulations shard the same way (SimBenchCell),
-	// engines fan their rate fixpoint across kernels (engine.Workers), and
-	// the trace model fans MRC construction (TraceModel.BuildWorkers).
-	// 0 or 1 keeps every simulation strictly serial. Output is
-	// byte-identical at every setting — see DESIGN.md §15.
+	// Deprecated: ignored; intra-cell parallelism was removed (DESIGN.md §15).
 	SimWorkers int
 	// Seed drives trace-assembly determinism; 0 selects the calibrated
 	// default of 1.
@@ -61,9 +56,8 @@ type Harness struct {
 	Prof *profile.Profiler
 	Loop float64
 
-	par        int
-	simWorkers int
-	seed       int64
+	par  int
+	seed int64
 
 	mu   sync.Mutex
 	solo map[string]*soloEntry // kernel fingerprint → solo-time slot
@@ -93,24 +87,16 @@ func New(cfg Config) *Harness {
 	}
 	model := engine.NewTraceModel(dev)
 	model.Seed = seed
-	model.BuildWorkers = cfg.SimWorkers
 	return &Harness{
-		Dev:        dev,
-		Model:      model,
-		Prof:       profile.New(dev, model),
-		Loop:       loop,
-		par:        cfg.Parallel,
-		simWorkers: cfg.SimWorkers,
-		seed:       seed,
-		solo:       map[string]*soloEntry{},
+		Dev:   dev,
+		Model: model,
+		Prof:  profile.New(dev, model),
+		Loop:  loop,
+		par:   cfg.Parallel,
+		seed:  seed,
+		solo:  map[string]*soloEntry{},
 	}
 }
-
-// simWindow is the conservative window width for the harness's sharded
-// sub-simulations. The shards (solo calibrations, per-scheduler cell runs)
-// never exchange events, so any width is correct; a finite window keeps the
-// barrier machinery exercised on every run.
-const simWindow = vtime.Millisecond
 
 // soloKernelSec returns one launch's solo duration under the hardware
 // scheduler, cached by the spec's content fingerprint — two kernels sharing
@@ -149,7 +135,6 @@ func (h *Harness) soloKernelSec(spec *kern.Spec) (float64, error) {
 func (h *Harness) soloRun(spec *kern.Spec, opts engine.LaunchOpts) (engine.Metrics, error) {
 	clk := vtime.NewClock()
 	e := engine.New(h.Dev, clk, h.Model)
-	e.Workers = h.simWorkers
 	hd, err := e.Launch(spec, opts)
 	if err != nil {
 		return engine.Metrics{}, err
@@ -161,75 +146,6 @@ func (h *Harness) soloRun(spec *kern.Spec, opts engine.LaunchOpts) (engine.Metri
 		return engine.Metrics{}, fmt.Errorf("harness: kernel %q incomplete", spec.Name)
 	}
 	return hd.Metrics(), nil
-}
-
-// preheatSolos fills the solo-time cache for the given kernels by running
-// the uncached ones as shards of one ShardedClock — the solo calibrations
-// are mutually independent simulations, so they are the natural shard key
-// for a cell's setup phase. Claims follow the same single-flight protocol
-// as soloKernelSec: concurrent callers of an already-claimed kernel block on
-// its entry rather than re-simulating. A no-op when SimWorkers <= 1 (the
-// serial path measures lazily) or everything is already cached.
-func (h *Harness) preheatSolos(specs []*kern.Spec) {
-	if h.simWorkers <= 1 {
-		return
-	}
-	type claim struct {
-		spec *kern.Spec
-		e    *soloEntry
-	}
-	var claims []claim
-	h.mu.Lock()
-	for _, spec := range specs {
-		fp := spec.Fingerprint()
-		if _, ok := h.solo[fp]; ok {
-			continue
-		}
-		e := &soloEntry{ready: make(chan struct{})}
-		h.solo[fp] = e
-		claims = append(claims, claim{spec, e})
-	}
-	h.mu.Unlock()
-	if len(claims) == 0 {
-		return
-	}
-
-	sc := vtime.NewSharded(len(claims), simWindow)
-	sc.Workers = h.simWorkers
-	handles := make([]*engine.Handle, len(claims))
-	errs := make([]error, len(claims))
-	for i, cl := range claims {
-		i, cl := i, cl
-		eng := engine.New(h.Dev, sc.Shard(i), h.Model)
-		// Launch inside the shard's first event, not here: Launch performs
-		// the initial recompute — including any cold model build — and that
-		// work must land on the shard to run in parallel.
-		sc.Shard(i).At(0, func(vtime.Time) {
-			handles[i], errs[i] = eng.Launch(cl.spec, engine.LaunchOpts{Mode: engine.HardwareSched})
-		})
-	}
-	limit := 5_000_000 * len(claims)
-	converged := sc.Run(limit) < limit
-	for i, cl := range claims {
-		switch {
-		case errs[i] != nil:
-			cl.e.err = errs[i]
-		case !converged:
-			cl.e.err = fmt.Errorf("harness: solo run of %q did not converge", cl.spec.Name)
-		case handles[i] == nil || !handles[i].Done():
-			cl.e.err = fmt.Errorf("harness: kernel %q incomplete", cl.spec.Name)
-		default:
-			cl.e.sec = handles[i].Metrics().Duration().Seconds()
-		}
-		close(cl.e.ready)
-		if cl.e.err != nil {
-			h.mu.Lock()
-			if h.solo[cl.spec.Fingerprint()] == cl.e {
-				delete(h.solo, cl.spec.Fingerprint())
-			}
-			h.mu.Unlock()
-		}
-	}
 }
 
 // table renders rows as a fixed-width text table.

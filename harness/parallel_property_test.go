@@ -111,32 +111,32 @@ func experimentOutputs(t *testing.T, cfg Config) map[string]string {
 		}
 		return r.Render(), nil
 	})
-	add("simbench-cell", func() (string, error) {
+	add("fig7-cell", func() (string, error) {
 		return h.SimBenchCell(h.HeaviestPairIndex())
 	})
 	return out
 }
 
-// TestShardedExecutionBitIdentical is DESIGN.md §15's contract over the
+// TestParallelExecutionBitIdentical is DESIGN.md §15's contract over the
 // whole evaluation: every experiment, rendered from a serial harness
-// (Parallel=1, SimWorkers=1) and from a fully parallel one (cell pool +
-// sharded sub-simulations + engine fan + model build fan), must agree on
-// every output byte, at two seeds. Run under -race in CI.
-func TestShardedExecutionBitIdentical(t *testing.T) {
+// (Parallel=1) and from one running its cells on a four-wide pool
+// (Parallel=4), must agree on every output byte, at two seeds. Run under
+// -race in CI.
+func TestParallelExecutionBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweeps in -short mode")
 	}
 	for _, seed := range []int64{1, 2} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			serial := experimentOutputs(t, Config{LoopSeconds: 0.35, Seed: seed, Parallel: 1, SimWorkers: 1})
-			sharded := experimentOutputs(t, Config{LoopSeconds: 0.35, Seed: seed, Parallel: 4, SimWorkers: 4})
+			serial := experimentOutputs(t, Config{LoopSeconds: 0.35, Seed: seed, Parallel: 1})
+			parallel := experimentOutputs(t, Config{LoopSeconds: 0.35, Seed: seed, Parallel: 4})
 			for name, want := range serial {
-				got, ok := sharded[name]
+				got, ok := parallel[name]
 				if !ok {
-					t.Fatalf("%s missing from sharded outputs", name)
+					t.Fatalf("%s missing from parallel outputs", name)
 				}
 				if got != want {
-					t.Errorf("%s diverged between serial and sharded execution at seed %d:\n--- serial ---\n%s\n--- sharded ---\n%s",
+					t.Errorf("%s diverged between serial and parallel execution at seed %d:\n--- serial ---\n%s\n--- parallel ---\n%s",
 						name, seed, want, got)
 				}
 			}

@@ -298,6 +298,11 @@ func TestExecutorThreeWay(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	var peak atomic.Int64
+	observe := func() {
+		n := int64(x.RunningCount())
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+	}
 	start := make(chan struct{})
 	for i := 0; i < 3; i++ {
 		i := i
@@ -306,10 +311,21 @@ func TestExecutorThreeWay(t *testing.T) {
 			defer wg.Done()
 			<-start
 			spec := lightKernel(specs[i].Name, &counts[i])
+			var held atomic.Bool
 			spec.Exec = func(int) {
 				counts[i].Add(1)
-				if n := int64(x.RunningCount()); n > peak.Load() {
-					peak.Store(n)
+				observe()
+				// Hold this co-run's first block until three co-runners have
+				// been seen running at once, so the overlap depends on the
+				// executor admitting a third co-runner, not on goroutine
+				// arrival timing. The deadline keeps a broken executor from
+				// hanging the test.
+				if held.CompareAndSwap(false, true) {
+					deadline := time.Now().Add(10 * time.Second)
+					for peak.Load() < 3 && time.Now().Before(deadline) {
+						time.Sleep(100 * time.Microsecond)
+						observe()
+					}
 				}
 				s := 0.0
 				for k := 0; k < 30000; k++ {

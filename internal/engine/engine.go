@@ -20,8 +20,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"slate/internal/device"
 	"slate/internal/kern"
@@ -56,10 +54,10 @@ func (m Mode) String() string {
 // scheduling regime. Implementations may run real cache simulations
 // (TraceModel) or return fixed values (StaticModel, for tests).
 //
-// Implementations must be safe for concurrent lookups: with Engine.Workers
-// > 1 the rate fixpoint fans its per-kernel pass across goroutines.
-// TraceModel's singleflight entry cache and the stateless StaticModel both
-// satisfy this.
+// Implementations must be safe for concurrent lookups: the harness runs
+// independent experiment cells on a worker pool, each with its own engine,
+// and every cell shares one TraceModel. TraceModel's singleflight entry
+// cache and the stateless StaticModel both satisfy this.
 type PerfModel interface {
 	// HitRate returns the kernel's L2 hit rate when it effectively owns
 	// l2Bytes of cache under the given mode and task size.
@@ -167,12 +165,6 @@ type Handle struct {
 	completion  *vtime.Event
 	checkpoint  *vtime.Event
 
-	// modelWarm records that the PerfModel has served this instance once,
-	// i.e. any expensive cold entry build (trace synthesis, MRC sweep) is
-	// behind us; the rate fixpoint fans pass 1 across kernels only while a
-	// cold build is possible or the kernel set is wide.
-	modelWarm bool
-
 	// last computed rate snapshot (blocks/sec and per-block resource use)
 	rate        float64
 	dramPerBlk  float64
@@ -214,15 +206,6 @@ type Engine struct {
 	Dev   *device.Device
 	Clock *vtime.Clock
 	Model PerfModel
-
-	// Workers bounds the goroutines used to fan per-kernel work inside a
-	// single event: pass 1 of the computeRates fixpoint (model lookups +
-	// demand computation) and the advanceProgress integration. <= 1 keeps
-	// the hot path strictly serial. Results are bit-identical at any
-	// setting — each kernel writes only its own index-assigned slots and
-	// the cross-kernel folds (bus arbitration, L2 share update) stay
-	// serial — so this is a pure wall-clock knob.
-	Workers int
 
 	// RescheduleEveryEvent disables the completion-event reschedule skip
 	// so tests can measure the event churn it removes.
@@ -271,17 +254,6 @@ func (p *prioSorter) Less(a, b int) bool {
 }
 func (p *prioSorter) Swap(a, b int) { p.order[a], p.order[b] = p.order[b], p.order[a] }
 
-// Fan gates. With every model entry warm the per-kernel pass-1 work is a few
-// hundred nanoseconds and a goroutine handoff would dominate, so the fan
-// engages only where it pays: a possible cold model build (milliseconds of
-// trace synthesis and MRC sweeping) at any width, or a kernel set wide
-// enough to amortize the handoff. Vars rather than consts so tests can
-// lower them.
-var (
-	rateFanKernels    = 16
-	advanceFanKernels = 16
-)
-
 // f64Scratch returns buf resized to n, reallocating only on growth. The
 // caller is responsible for (re)initializing the contents.
 func f64Scratch(buf []float64, n int) []float64 {
@@ -289,31 +261,6 @@ func f64Scratch(buf []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return buf[:n]
-}
-
-// fanKernels runs f(0..n-1) on min(e.Workers, n) goroutines, pulling indices
-// from a shared counter. The caller guarantees f(i) touches only slot i.
-func (e *Engine) fanKernels(n int, f func(i int)) {
-	workers := e.Workers
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // New constructs an engine. The device must validate.
@@ -467,47 +414,36 @@ func (e *Engine) Stall(h *Handle, d vtime.Duration) error {
 }
 
 // advanceProgress integrates every running kernel's progress and metrics
-// from lastUpdate to now using the last computed rates. Each kernel's
-// integration touches only its own handle, so wide kernel sets fan across
-// Workers goroutines with bit-identical results.
+// from lastUpdate to now using the last computed rates.
 func (e *Engine) advanceProgress(now vtime.Time) {
 	dt := now.Sub(e.lastUpdate).Seconds()
 	e.lastUpdate = now
 	if dt <= 0 {
 		return
 	}
-	if e.Workers > 1 && len(e.running) >= advanceFanKernels {
-		e.fanKernels(len(e.running), func(i int) { e.advanceHandle(e.running[i], dt) })
-		return
-	}
 	for _, h := range e.running {
-		e.advanceHandle(h, dt)
-	}
-}
-
-// advanceHandle integrates one kernel's progress over dt seconds.
-func (e *Engine) advanceHandle(h *Handle, dt float64) {
-	if h.rate <= 0 {
-		return
-	}
-	blocks := h.rate * dt
-	if rem := h.numBlocks - h.blocksDone; blocks > rem {
-		blocks = rem
-	}
-	h.blocksDone += blocks
-	ovh := 1.0
-	if h.opts.Mode == SlateSched {
-		ovh = 1 + e.Dev.InjectedInstrOverhead
-	}
-	h.metrics.FLOPs += blocks * h.spec.FLOPsPerBlock
-	h.metrics.L2Bytes += blocks * h.spec.L2BytesPerBlock
-	h.metrics.DRAMBytes += blocks * h.dramPerBlk
-	h.metrics.Instr += blocks * h.spec.InstrPerBlock * ovh
-	h.metrics.Busy += vtime.FromSeconds(dt)
-	h.metrics.StallMemThrottle += h.memThrottle * dt
-	h.metrics.SMSecondsIntegral += h.smAlloc * dt
-	if h.opts.Mode == SlateSched && h.spec.NumBlocks() > 0 {
-		h.metrics.Atomics = int64(h.blocksDone) / int64(h.opts.TaskSize)
+		if h.rate <= 0 {
+			continue
+		}
+		blocks := h.rate * dt
+		if rem := h.numBlocks - h.blocksDone; blocks > rem {
+			blocks = rem
+		}
+		h.blocksDone += blocks
+		ovh := 1.0
+		if h.opts.Mode == SlateSched {
+			ovh = 1 + e.Dev.InjectedInstrOverhead
+		}
+		h.metrics.FLOPs += blocks * h.spec.FLOPsPerBlock
+		h.metrics.L2Bytes += blocks * h.spec.L2BytesPerBlock
+		h.metrics.DRAMBytes += blocks * h.dramPerBlk
+		h.metrics.Instr += blocks * h.spec.InstrPerBlock * ovh
+		h.metrics.Busy += vtime.FromSeconds(dt)
+		h.metrics.StallMemThrottle += h.memThrottle * dt
+		h.metrics.SMSecondsIntegral += h.smAlloc * dt
+		if h.opts.Mode == SlateSched && h.spec.NumBlocks() > 0 {
+			h.metrics.Atomics = int64(h.blocksDone) / int64(h.opts.TaskSize)
+		}
 	}
 }
 
@@ -677,11 +613,9 @@ func (e *Engine) allocate(now vtime.Time) []float64 {
 }
 
 // computeRates runs the coupled rate/L2-share fixpoint and stores each
-// running kernel's snapshot. Pass 1 — the per-kernel model lookups and
-// demand computation, where any expensive cold model build happens — writes
-// only index-assigned slots, so it fans across Workers goroutines with
-// bit-identical results; the cross-kernel folds (bus arbitration in pass 2,
-// the L2 share update in pass 3) stay serial.
+// running kernel's snapshot. Pass 1 computes each kernel's model lookups and
+// unconstrained demand; pass 2 arbitrates the shared bus; pass 3 updates
+// the L2 shares for the next iteration.
 func (e *Engine) computeRates(now vtime.Time) {
 	n := len(e.running)
 	if n == 0 {
@@ -714,114 +648,87 @@ func (e *Engine) computeRates(now vtime.Time) {
 		}
 	}
 
-	// Pass 1 body for kernel i: reads shares[i]/alloc[i] and the shared
-	// read-only device/model, writes slots i of snaps/demands/uncon.
-	passOne := func(i int) {
-		h := e.running[i]
-		s := alloc[i]
-		if s <= 0 {
-			snaps[i] = rateSnap{}
-			return
-		}
-		hit := e.Model.HitRate(h.spec, h.opts.Mode, h.opts.TaskSize, shares[i]*l2Size)
-		runB := e.Model.MeanRunBytes(h.spec, h.opts.Mode, h.opts.TaskSize)
-		h.modelWarm = true
-		runEff := e.Dev.DRAM.RunEfficiency(runB)
-		dramPB := h.spec.L2BytesPerBlock * (1 - hit)
-
-		active := e.activeWorkers(h, s)
-		// Active workers spread across the allocated SMs; once fewer
-		// workers than SMs remain, each active block has an SM to
-		// itself and the kernel effectively occupies only `occ` SMs.
-		occ := s
-		if active < occ {
-			occ = active
-		}
-		if occ <= 0 {
-			snaps[i] = rateSnap{}
-			return
-		}
-		warpsPerSM := active * h.warpsPerBlock / occ
-		mlp := h.spec.MemMLP
-		if mlp <= 0 {
-			mlp = 1
-		}
-		cUtil := e.Dev.SM.ComputeUtil(warpsPerSM)
-		mUtil := e.Dev.SM.MemUtil(warpsPerSM * mlp)
-
-		ovh := 1.0
-		if h.opts.Mode == SlateSched {
-			ovh = 1 + e.Dev.InjectedInstrOverhead
-		}
-		ops := h.spec.OpsPerBlock
-		if ops <= 0 {
-			ops = h.spec.FLOPsPerBlock
-		}
-		computeRate := math.Inf(1)
-		if ops > 0 {
-			rc := occ * e.Dev.SM.PeakFLOPS() * h.spec.ComputeEff * cUtil
-			computeRate = rc / (ops * ovh)
-		}
-		l2Rate := math.Inf(1)
-		if h.spec.L2BytesPerBlock > 0 {
-			rl2 := e.Dev.DRAM.L2Ceiling(int(math.Ceil(occ)), e.Dev.NumSMs)
-			l2Rate = rl2 / h.spec.L2BytesPerBlock
-		}
-		// Service floor: dispatch (hardware) or queue atomic (Slate),
-		// amortized over active workers, plus the block latency floor.
-		floor := e.Dev.BlockLatencySeconds
-		var serialRate = math.Inf(1)
-		if h.opts.Mode == HardwareSched {
-			floor += e.Dev.BlockDispatchSeconds
-		} else {
-			floor += e.Dev.AtomicSerialSeconds / float64(h.opts.TaskSize)
-			// Global queue serialization: one atomic at a time.
-			serialRate = float64(h.opts.TaskSize) / e.Dev.AtomicSerialSeconds
-		}
-		latRate := active / floor
-
-		r := math.Min(computeRate, math.Min(l2Rate, math.Min(latRate, serialRate)))
-		uncon[i] = r
-		snaps[i] = rateSnap{hit: hit, dramPB: dramPB}
-		if dramPB > 0 {
-			memEff := h.spec.MemEff
-			if memEff <= 0 {
-				memEff = 1
-			}
-			dramCeil := e.Dev.DRAM.StreamCeiling(int(math.Ceil(occ))) * runEff * mUtil * memEff
-			if sharers > 1 {
-				// Sharing the bus with another kernel's stream breaks
-				// row locality for both (memsys.CorunEfficiency).
-				dramCeil *= e.Dev.DRAM.CorunEff()
-			}
-			demands[i] = math.Min(r*dramPB, dramCeil)
-		}
-	}
-
 	for iter := 0; iter < 4; iter++ {
-		// Pass 1: per-kernel unconstrained demands. Fan only when it pays:
-		// a cold model entry may need building (the multi-millisecond
-		// case), or the kernel set is wide enough to amortize handoffs.
-		for i := range demands {
+		// Pass 1: per-kernel unconstrained demands. Each kernel reads only
+		// its own shares/alloc slot and writes only its own output slots.
+		for i, h := range e.running {
 			demands[i], uncon[i], accessRates[i] = 0, 0, 0
-		}
-		fan := false
-		if e.Workers > 1 && n > 1 {
-			fan = n >= rateFanKernels
-			if !fan {
-				for _, h := range e.running {
-					if !h.modelWarm {
-						fan = true
-						break
-					}
-				}
+			s := alloc[i]
+			if s <= 0 {
+				snaps[i] = rateSnap{}
+				continue
 			}
-		}
-		if fan {
-			e.fanKernels(n, passOne)
-		} else {
-			for i := 0; i < n; i++ {
-				passOne(i)
+			hit := e.Model.HitRate(h.spec, h.opts.Mode, h.opts.TaskSize, shares[i]*l2Size)
+			runB := e.Model.MeanRunBytes(h.spec, h.opts.Mode, h.opts.TaskSize)
+			runEff := e.Dev.DRAM.RunEfficiency(runB)
+			dramPB := h.spec.L2BytesPerBlock * (1 - hit)
+
+			active := e.activeWorkers(h, s)
+			// Active workers spread across the allocated SMs; once fewer
+			// workers than SMs remain, each active block has an SM to
+			// itself and the kernel effectively occupies only `occ` SMs.
+			occ := s
+			if active < occ {
+				occ = active
+			}
+			if occ <= 0 {
+				snaps[i] = rateSnap{}
+				continue
+			}
+			warpsPerSM := active * h.warpsPerBlock / occ
+			mlp := h.spec.MemMLP
+			if mlp <= 0 {
+				mlp = 1
+			}
+			cUtil := e.Dev.SM.ComputeUtil(warpsPerSM)
+			mUtil := e.Dev.SM.MemUtil(warpsPerSM * mlp)
+
+			ovh := 1.0
+			if h.opts.Mode == SlateSched {
+				ovh = 1 + e.Dev.InjectedInstrOverhead
+			}
+			ops := h.spec.OpsPerBlock
+			if ops <= 0 {
+				ops = h.spec.FLOPsPerBlock
+			}
+			computeRate := math.Inf(1)
+			if ops > 0 {
+				rc := occ * e.Dev.SM.PeakFLOPS() * h.spec.ComputeEff * cUtil
+				computeRate = rc / (ops * ovh)
+			}
+			l2Rate := math.Inf(1)
+			if h.spec.L2BytesPerBlock > 0 {
+				rl2 := e.Dev.DRAM.L2Ceiling(int(math.Ceil(occ)), e.Dev.NumSMs)
+				l2Rate = rl2 / h.spec.L2BytesPerBlock
+			}
+			// Service floor: dispatch (hardware) or queue atomic (Slate),
+			// amortized over active workers, plus the block latency floor.
+			floor := e.Dev.BlockLatencySeconds
+			var serialRate = math.Inf(1)
+			if h.opts.Mode == HardwareSched {
+				floor += e.Dev.BlockDispatchSeconds
+			} else {
+				floor += e.Dev.AtomicSerialSeconds / float64(h.opts.TaskSize)
+				// Global queue serialization: one atomic at a time.
+				serialRate = float64(h.opts.TaskSize) / e.Dev.AtomicSerialSeconds
+			}
+			latRate := active / floor
+
+			r := math.Min(computeRate, math.Min(l2Rate, math.Min(latRate, serialRate)))
+			uncon[i] = r
+			snaps[i] = rateSnap{hit: hit, dramPB: dramPB}
+			if dramPB > 0 {
+				memEff := h.spec.MemEff
+				if memEff <= 0 {
+					memEff = 1
+				}
+				dramCeil := e.Dev.DRAM.StreamCeiling(int(math.Ceil(occ))) * runEff * mUtil * memEff
+				if sharers > 1 {
+					// Sharing the bus with another kernel's stream breaks
+					// row locality for both (memsys.CorunEfficiency).
+					dramCeil *= e.Dev.DRAM.CorunEff()
+				}
+				demands[i] = math.Min(r*dramPB, dramCeil)
 			}
 		}
 

@@ -84,7 +84,9 @@ type Backend interface {
 	TransferSeconds(n int64) float64
 }
 
-// Driver executes jobs against a backend.
+// Driver executes jobs against a backend on one clock. A simulation runs
+// serially; independent simulations parallelize one level up, as separate
+// drivers on separate clocks (harness.Config.Parallel).
 type Driver struct {
 	Clock   *vtime.Clock
 	Backend Backend
@@ -100,19 +102,6 @@ func NewDriver(clock *vtime.Clock, b Backend) *Driver {
 // Run launches every job at time zero (concurrent processes), drives the
 // clock to completion, and returns per-app results in job order.
 func (d *Driver) Run(jobs []Job) ([]Result, error) {
-	collect := d.Start(jobs)
-	if n := d.Clock.Run(50_000_000); n >= 50_000_000 {
-		return nil, fmt.Errorf("run: simulation did not converge")
-	}
-	return collect()
-}
-
-// Start schedules every job on the driver's clock without firing a single
-// event, and returns the collector that finalizes results once the caller
-// has driven the clock to quiescence. The split lets several drivers — each
-// on its own clock — run as shards of a vtime.ShardedClock, with one Run
-// call on the sharded clock driving them all.
-func (d *Driver) Start(jobs []Job) func() ([]Result, error) {
 	results := make([]Result, len(jobs))
 	var firstErr error
 	remaining := len(jobs)
@@ -131,19 +120,21 @@ func (d *Driver) Start(jobs []Job) func() ([]Result, error) {
 			results[i] = Result{Code: job.App.Code}
 			d.Clock.After(vtime.FromSeconds(job.StartDelaySec), start)
 		} else {
-			// Defer to the first event so Start itself fires nothing.
+			// Arrive through a time-zero event rather than inline: the
+			// experiment renders are pinned to this event order.
 			d.Clock.After(0, start)
 		}
 	}
-	return func() ([]Result, error) {
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		if remaining != 0 {
-			return nil, fmt.Errorf("run: %d applications never completed", remaining)
-		}
-		return results, nil
+	if n := d.Clock.Run(50_000_000); n >= 50_000_000 {
+		return nil, fmt.Errorf("run: simulation did not converge")
 	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	if remaining != 0 {
+		return nil, fmt.Errorf("run: %d applications never completed", remaining)
+	}
+	return results, nil
 }
 
 // runApp walks one application's state machine: setup → H2D → reps ×
