@@ -8,7 +8,8 @@
 //   - no acked launch is lost or duplicated: for every source launch whose
 //     accept record is durable (or that the resuming client re-sends), the
 //     executions in the second incarnation plus the durable completions
-//     from the first sum to exactly one;
+//     from the first sum to exactly one, and a launch synced before the
+//     crash has a durable completion;
 //   - journal replay is idempotent: two consecutive state digests of the
 //     same directory are identical;
 //   - a recovered profile table is byte-identical to a clean run's;
@@ -22,7 +23,6 @@ import (
 	"net"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"slate/internal/client"
@@ -37,8 +37,6 @@ import (
 
 // ccResult is one (site, seed) cell of the crashchaos matrix.
 type ccResult struct {
-	site     string
-	seed     int64
 	fired    bool  // the armed crash point actually fired
 	acked    int   // launches the first incarnation acked before dying
 	replayed int   // accepted-incomplete launches recovery re-executed
@@ -48,65 +46,38 @@ type ccResult struct {
 }
 
 // runCrashChaos drives the full matrix: every crash site, two consecutive
-// seeds.
+// seeds. It stays out of the double run: the single-launch workload syncs
+// only every second launch, so completion appends interleave with accepts
+// and the acked/replayed/torn columns vary run to run.
 func runCrashChaos(seed int64) (string, error) {
-	var rows []ccResult
-	for _, s := range []int64{seed, seed + 1} {
-		for _, site := range fault.CrashSites() {
-			var r ccResult
-			switch site {
-			case fault.SiteProfileRenameMid:
-				r = profileCrashLeg(s)
-			case fault.SiteJournalBatchMid, fault.SiteJournalBatchPost:
-				r = batchCrashLeg(s, site)
-			default:
-				r = daemonCrashLeg(s, site)
-			}
-			r.site, r.seed = site, s
-			rows = append(rows, r)
+	return matrix{
+		title:  "Crash-chaos matrix (kill at site, restart, verify recovery)",
+		header: []string{"site", "seed", "fired", "acked", "replayed", "deduped", "torn"},
+		keys:   2,
+		footer: "all crash sites recovered: exactly-once launches, idempotent replay, clean drain",
+	}.render(seedMatrix(seed, fault.CrashSites(), func(s int64, site string) cell {
+		var r ccResult
+		if site == fault.SiteProfileRenameMid {
+			r = profileCrashLeg(s)
+		} else {
+			r = crashLeg(s, site)
 		}
-	}
-
-	var b strings.Builder
-	b.WriteString("Crash-chaos matrix (kill at site, restart, verify recovery)\n")
-	fmt.Fprintf(&b, "%-22s %-5s %-6s %-6s %-8s %-7s %-6s %s\n",
-		"site", "seed", "fired", "acked", "replayed", "deduped", "torn", "verdict")
-	var firstErr error
-	for _, r := range rows {
-		verdict := "PASS"
-		if r.err != nil {
-			verdict = "FAIL: " + r.err.Error()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s seed=%d: %w", r.site, r.seed, r.err)
-			}
-		}
-		fmt.Fprintf(&b, "%-22s %-5d %-6v %-6d %-8d %-7d %-6d %s\n",
-			r.site, r.seed, r.fired, r.acked, r.replayed, r.deduped, r.trunc, verdict)
-	}
-	if firstErr != nil {
-		return b.String(), firstErr
-	}
-	b.WriteString("\nall crash sites recovered: exactly-once launches, idempotent replay, clean drain\n")
-	return b.String(), nil
+		return cell{cols: []any{site, s, r.fired, r.acked, r.replayed, r.deduped, r.trunc}, err: r.err}
+	}))
 }
 
-// ccKernelName builds a per-(site,seed,index) kernel identifier so every
-// scripted launch is countable on its own.
-func ccKernelName(site string, seed int64, i int) string {
-	return fmt.Sprintf("cc_%s_%d_%d", strings.NewReplacer(".", "_", "-", "_").Replace(site), seed, i)
-}
-
-// ccSource wraps a kernel name in minimal CUDA source the injection
-// pipeline accepts.
-func ccSource(name string) string {
-	return fmt.Sprintf("__global__ void %s(float *x, int n) { int i = blockIdx.x; if (i < n) x[i] = 1.0f; }", name)
-}
-
-// daemonCrashLeg runs the journal/checkpoint crash sites: incarnation one
-// dies at the armed site mid-workload, incarnation two recovers the same
-// state directory, the client resumes, and the exactly-once invariant is
-// checked per launch.
-func daemonCrashLeg(seed int64, site string) ccResult {
+// crashLeg runs one journal crash site: incarnation one dies at the armed
+// site mid-workload, incarnation two recovers the same state directory,
+// the client resumes, and the ledger audits exactly-once per launch.
+//
+// The group-commit sites submit the workload as OpLaunchBatch frames, so
+// the crash fires inside journal.AppendBatch — mid-write (a torn prefix of
+// the group: some accept records whole, the next frame cut, nothing acked)
+// or post-sync (the whole group durable, the batch ack lost) — and the
+// client holds the whole in-flight batch as pending ops, all of which
+// Resume must replay under their original IDs. Every other site submits
+// single launches.
+func crashLeg(seed int64, site string) ccResult {
 	var r ccResult
 	dir, err := os.MkdirTemp("", "crashchaos")
 	if err != nil {
@@ -115,19 +86,28 @@ func daemonCrashLeg(seed int64, site string) ccResult {
 	}
 	defer os.RemoveAll(dir)
 
-	// Incarnation 1: durable daemon with an armed crash point. Append sites
-	// arm past the session-open append so the handshake always succeeds;
-	// the checkpoint site arms an early compaction (the log compacts every
-	// 4 records, so later hits would need a longer script). Varying the hit
-	// with the seed moves the death around the script.
-	hit := uint64(2 + seed%3)
-	if site == fault.SiteCheckpointMid {
+	// Varying the armed hit with the seed moves the death around the
+	// script. Single launches sync after every second one, so some
+	// launches have durable completion records when the crash lands;
+	// append sites arm past the session-open append so the handshake
+	// always succeeds, and the checkpoint site arms an early compaction
+	// (the log compacts every 4 records, so later hits would need a longer
+	// script). Batches of four sync after each batch, which fixes the
+	// daemon's AppendBatch order — accept(batch1), completions(batch1),
+	// accept(batch2), completions(batch2) — so the hit walks the death
+	// across all four.
+	batched := site == fault.SiteJournalBatchMid || site == fault.SiteJournalBatchPost
+	group, compact, hit := 2, 4, uint64(2+seed%3)
+	switch {
+	case batched:
+		group, compact, hit = 4, 64, uint64(seed%4)
+	case site == fault.SiteCheckpointMid:
 		hit = uint64(seed % 2)
 	}
 	srv1, dial1 := daemon.NewLocal(4)
 	crasher := fault.NewCrasher(site, hit)
 	if _, err := srv1.EnableDurability(daemon.Durability{
-		Dir: dir, CompactEvery: 4, Crash: crasher.Hook(), NoSync: true,
+		Dir: dir, CompactEvery: compact, Crash: crasher.Hook(), NoSync: true,
 	}); err != nil {
 		r.err = err
 		return r
@@ -139,39 +119,51 @@ func daemonCrashLeg(seed int64, site string) ccResult {
 	}
 
 	const launches = 8
-	acked := map[string]bool{}
-	for i := 0; i < launches; i++ {
-		name := ccKernelName(site, seed, i)
-		_, _, lerr := cli.LaunchSourceDegraded(ccSource(name), name, kern.D1(4), kern.D1(32), 4)
-		switch {
-		case lerr == nil:
-			acked[name] = true
-		case errors.Is(lerr, client.ErrDaemonDown) || errors.Is(lerr, client.ErrTimeout):
-			// The simulated process died under (or before) this call; the
-			// client may hold it as the pending op Resume will replay.
-		default:
-			r.err = fmt.Errorf("launch %s: unexpected %v", name, lerr)
+	names := make([]string, launches)
+	for i := range names {
+		names[i] = kernelName("cc", site, seed, i)
+	}
+	led := newLedger(names)
+	// submit sends one group and records its acks.
+	submit := func(group []string) error {
+		if !batched {
+			for _, name := range group {
+				if err := led.record(name, launchNamed(cli.LaunchSourceDegraded, name)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		b := cli.NewBatch()
+		for _, name := range group {
+			if err := b.LaunchSource(kernelSource(name), name, kern.D1(4), kern.D1(32), 4); err != nil {
+				return fmt.Errorf("batch build %s: %w", name, err)
+			}
+		}
+		acks, err := b.Submit()
+		if err != nil {
+			return led.record(fmt.Sprintf("batch %v", group), err)
+		}
+		for i, a := range acks {
+			if a.Code == 0 {
+				led.acked[group[i]] = true
+			}
+		}
+		return nil
+	}
+	for g := 0; g < launches; g += group {
+		if r.err = submit(names[g : g+group]); r.err != nil {
 			return r
 		}
-		if i%2 == 1 {
-			// Interleave syncs so some launches have durable completion
-			// records when the crash lands.
-			_ = cli.Synchronize()
-		}
+		led.synchronize(cli.Synchronize())
 	}
 	if !crasher.Fired() {
 		r.err = fmt.Errorf("crash site never fired (armed hit %d)", hit)
 		return r
 	}
-	// Launch i carried op ID i+1, so the client's held pending op (the one
-	// call that was actually in flight when the transport died) maps back
-	// to its kernel name.
-	var pendingName string
-	if op := cli.PendingOp(); op >= 1 && op <= launches {
-		pendingName = ccKernelName(site, seed, int(op-1))
-	}
+	led.hold(cli.PendingOps())
 	r.fired = true
-	r.acked = len(acked)
+	r.acked = len(led.acked)
 	// Let incarnation 1's teardown settle: its conns are closed, and every
 	// in-flight launch either finished (journaling to a dead writer, a
 	// no-op) or never will.
@@ -186,27 +178,15 @@ func daemonCrashLeg(seed int64, site string) ccResult {
 		return r
 	}
 	r.trunc = jstats.TruncatedBytes
-
-	// Replay idempotence: two consecutive digests of the directory must
-	// match (the first one also truncates any torn tail, which must not
-	// change what the second sees).
-	d1, err := daemon.StateDigest(dir)
+	durable, err := durableLaunches(dir)
 	if err != nil {
-		r.err = fmt.Errorf("digest 1: %w", err)
+		r.err = err
 		return r
 	}
-	d2, err := daemon.StateDigest(dir)
-	if err != nil {
-		r.err = fmt.Errorf("digest 2: %w", err)
-		return r
-	}
-	if d1 != d2 {
-		r.err = errors.New("state digest changed between consecutive replays")
-		return r
-	}
-	durable := parseDigestOps(d1)
 
-	// Incarnation 2: recover, resume, verify.
+	// Incarnation 2: recover, resume, verify. Incarnation 1 executions
+	// without a durable completion died with the device, so only
+	// incarnation 2's count.
 	srv2, dial2 := daemon.NewLocal(4)
 	stats, err := srv2.EnableDurability(daemon.Durability{Dir: dir, NoSync: true})
 	if err != nil {
@@ -214,7 +194,6 @@ func daemonCrashLeg(seed int64, site string) ccResult {
 		return r
 	}
 	r.replayed = stats.Replayed
-
 	recovered, err := cli.Resume(func() (net.Conn, error) { return dial2(), nil }, client.RetryConfig{Attempts: 3})
 	if err != nil {
 		r.err = fmt.Errorf("resume: %w", err)
@@ -228,48 +207,18 @@ func daemonCrashLeg(seed int64, site string) ccResult {
 		r.err = fmt.Errorf("post-resume sync: %w", err)
 		return r
 	}
-
-	// Exactly-once: for every launch with a durable accept record — plus
-	// the pending one the client re-sent — executions in incarnation 2 and
-	// durable completions from incarnation 1 sum to one. (Incarnation 1
-	// executions without a durable completion died with the device.) A
-	// launch with neither a durable accept nor a client re-send must not
-	// have run at all.
-	for i := 0; i < launches; i++ {
-		name := ccKernelName(site, seed, i)
-		runs2 := srv2.Exec.Runs("src:" + name)
-		ent, inJournal := durable[name]
-		switch {
-		case inJournal:
-			done1 := 0
-			if ent.done {
-				done1 = 1
-			}
-			if runs2+done1 != 1 {
-				r.err = fmt.Errorf("%s: runs2=%d + durable-complete=%d, want exactly 1", name, runs2, done1)
-				return r
-			}
-		case name == pendingName:
-			if runs2 != 1 {
-				r.err = fmt.Errorf("%s: re-sent pending op ran %d times, want 1", name, runs2)
-				return r
-			}
-		default:
-			if runs2 != 0 {
-				r.err = fmt.Errorf("%s: never accepted, yet ran %d times", name, runs2)
-				return r
-			}
-		}
-		if acked[name] && !inJournal {
-			r.err = fmt.Errorf("%s: acked but its accept record is not durable (write-ahead violated)", name)
-			return r
-		}
+	if _, _, r.err = led.audit(durable, []*daemon.Server{srv2}); r.err != nil {
+		return r
 	}
 
-	// Liveness after recovery: a fresh launch on the resumed session.
-	live := ccKernelName(site, seed, 99)
-	if _, _, err := cli.LaunchSourceDegraded(ccSource(live), live, kern.D1(4), kern.D1(32), 4); err != nil {
-		r.err = fmt.Errorf("post-recovery launch: %w", err)
+	// Liveness after recovery: fresh work on the resumed session, submitted
+	// the same way.
+	live := kernelName("cc", site, seed, 99)
+	if r.err = submit([]string{live}); r.err != nil {
+		return r
+	}
+	if !led.acked[live] {
+		r.err = errors.New("post-recovery launch was not acked")
 		return r
 	}
 	if err := cli.Synchronize(); err != nil {
@@ -289,243 +238,6 @@ func daemonCrashLeg(seed int64, site string) ccResult {
 	}
 	_ = srv2.CloseDurability()
 	return r
-}
-
-// batchCrashLeg runs the group-commit crash sites: the scripted workload
-// submits its launches as OpLaunchBatch frames, so the armed site fires
-// inside journal.AppendBatch — either mid-write (a torn prefix of the group:
-// some accept records whole, the next frame cut, nothing acked) or post-sync
-// (the whole group durable, the batch ack lost). The daemon's AppendBatch
-// call order is deterministic here — accept(batch1), completions(batch1,
-// forced by the interleaved Synchronize), accept(batch2), completions(batch2)
-// — so the seed-varied hit walks the death across all four. Verification is
-// the same exactly-once ledger as daemonCrashLeg, except the client can hold
-// a whole SET of pending ops (the in-flight batch), all of which Resume must
-// replay under their original IDs.
-func batchCrashLeg(seed int64, site string) ccResult {
-	var r ccResult
-	dir, err := os.MkdirTemp("", "crashchaos-batch")
-	if err != nil {
-		r.err = err
-		return r
-	}
-	defer os.RemoveAll(dir)
-
-	hit := uint64(seed % 4)
-	srv1, dial1 := daemon.NewLocal(4)
-	crasher := fault.NewCrasher(site, hit)
-	if _, err := srv1.EnableDurability(daemon.Durability{
-		Dir: dir, CompactEvery: 64, Crash: crasher.Hook(), NoSync: true,
-	}); err != nil {
-		r.err = err
-		return r
-	}
-	cli, err := client.New(dial1(), "crashchaos-batch", client.WithTimeout(5*time.Second))
-	if err != nil {
-		r.err = fmt.Errorf("incarnation 1 handshake: %w", err)
-		return r
-	}
-
-	const batches, perBatch = 2, 4
-	const launches = batches * perBatch
-	acked := map[string]bool{}
-	for bi := 0; bi < batches; bi++ {
-		b := cli.NewBatch()
-		names := make([]string, 0, perBatch)
-		for j := 0; j < perBatch; j++ {
-			name := ccKernelName(site, seed, bi*perBatch+j)
-			names = append(names, name)
-			if err := b.LaunchSource(ccSource(name), name, kern.D1(4), kern.D1(32), 4); err != nil {
-				r.err = fmt.Errorf("batch build %s: %v", name, err)
-				return r
-			}
-		}
-		acks, serr := b.Submit()
-		switch {
-		case serr == nil:
-			for i, a := range acks {
-				if a.Code == 0 {
-					acked[names[i]] = true
-				}
-			}
-		case errors.Is(serr, client.ErrDaemonDown) || errors.Is(serr, client.ErrTimeout):
-			// The simulated process died with the batch in flight; every item
-			// is now a pending op Resume will replay.
-		default:
-			r.err = fmt.Errorf("batch %d: unexpected %v", bi, serr)
-			return r
-		}
-		// Force the completion group commit between batches so the journal's
-		// AppendBatch sequence is deterministic.
-		_ = cli.Synchronize()
-	}
-	if !crasher.Fired() {
-		r.err = fmt.Errorf("crash site never fired (armed hit %d)", hit)
-		return r
-	}
-	// Batched item j of batch bi carried op ID bi*perBatch+j+1, so the
-	// client's pending set maps back to kernel names.
-	pendingNames := map[string]bool{}
-	for _, op := range cli.PendingOps() {
-		if op >= 1 && op <= launches {
-			pendingNames[ccKernelName(site, seed, int(op-1))] = true
-		}
-	}
-	r.fired = true
-	r.acked = len(acked)
-	waitSessions(srv1, 5*time.Second)
-	_ = srv1.CloseDurability()
-
-	jstats, err := journal.Replay(filepath.Join(dir, daemon.JournalFile), func(*journal.Record) error { return nil })
-	if err != nil {
-		r.err = fmt.Errorf("journal replay: %w", err)
-		return r
-	}
-	r.trunc = jstats.TruncatedBytes
-
-	d1, err := daemon.StateDigest(dir)
-	if err != nil {
-		r.err = fmt.Errorf("digest 1: %w", err)
-		return r
-	}
-	d2, err := daemon.StateDigest(dir)
-	if err != nil {
-		r.err = fmt.Errorf("digest 2: %w", err)
-		return r
-	}
-	if d1 != d2 {
-		r.err = errors.New("state digest changed between consecutive replays")
-		return r
-	}
-	durable := parseDigestOps(d1)
-
-	srv2, dial2 := daemon.NewLocal(4)
-	stats, err := srv2.EnableDurability(daemon.Durability{Dir: dir, NoSync: true})
-	if err != nil {
-		r.err = fmt.Errorf("recovery: %w", err)
-		return r
-	}
-	r.replayed = stats.Replayed
-
-	recovered, err := cli.Resume(func() (net.Conn, error) { return dial2(), nil }, client.RetryConfig{Attempts: 3})
-	if err != nil {
-		r.err = fmt.Errorf("resume: %w", err)
-		return r
-	}
-	if !recovered {
-		r.err = errors.New("resume reported state lost; the journal should have held this session")
-		return r
-	}
-	if err := cli.Synchronize(); err != nil {
-		r.err = fmt.Errorf("post-resume sync: %w", err)
-		return r
-	}
-
-	// Exactly-once over the whole batched workload: durable accepts settle to
-	// one execution total; re-sent pending items (the in-flight batch,
-	// expanded by Resume into per-item replays) run exactly once; everything
-	// else never ran.
-	for i := 0; i < launches; i++ {
-		name := ccKernelName(site, seed, i)
-		runs2 := srv2.Exec.Runs("src:" + name)
-		ent, inJournal := durable[name]
-		switch {
-		case inJournal:
-			done1 := 0
-			if ent.done {
-				done1 = 1
-			}
-			if runs2+done1 != 1 {
-				r.err = fmt.Errorf("%s: runs2=%d + durable-complete=%d, want exactly 1", name, runs2, done1)
-				return r
-			}
-		case pendingNames[name]:
-			if runs2 != 1 {
-				r.err = fmt.Errorf("%s: re-sent batched op ran %d times, want 1", name, runs2)
-				return r
-			}
-		default:
-			if runs2 != 0 {
-				r.err = fmt.Errorf("%s: never accepted, yet ran %d times", name, runs2)
-				return r
-			}
-		}
-		if acked[name] && !inJournal {
-			r.err = fmt.Errorf("%s: acked but its accept record is not durable (group commit broke write-ahead)", name)
-			return r
-		}
-	}
-
-	// Liveness: a fresh batch on the resumed session must accept and run.
-	live := ccKernelName(site, seed, 99)
-	lb := cli.NewBatch()
-	if err := lb.LaunchSource(ccSource(live), live, kern.D1(4), kern.D1(32), 4); err != nil {
-		r.err = fmt.Errorf("post-recovery batch build: %v", err)
-		return r
-	}
-	if _, err := lb.Submit(); err != nil {
-		r.err = fmt.Errorf("post-recovery batch: %w", err)
-		return r
-	}
-	if err := cli.Synchronize(); err != nil {
-		r.err = fmt.Errorf("post-recovery sync: %w", err)
-		return r
-	}
-	r.deduped = srv2.DedupHits()
-	if err := cli.Close(); err != nil {
-		r.err = fmt.Errorf("close: %w", err)
-		return r
-	}
-	if err := srv2.Drain(5 * time.Second); err != nil {
-		r.err = fmt.Errorf("drain after recovery: %w", err)
-		return r
-	}
-	_ = srv2.CloseDurability()
-	return r
-}
-
-// digestOp is one parsed dedup-window line of a state digest.
-type digestOp struct {
-	done bool
-}
-
-// parseDigestOps extracts the source-launch window entries from a
-// StateDigest by kernel name (accept-time successes only).
-func parseDigestOps(digest string) map[string]digestOp {
-	out := map[string]digestOp{}
-	for _, line := range strings.Split(digest, "\n") {
-		line = strings.TrimSpace(line)
-		if !strings.HasPrefix(line, "op=") {
-			continue
-		}
-		var kernel string
-		var done, okCode, src bool
-		for _, f := range strings.Fields(line) {
-			switch {
-			case strings.HasPrefix(f, "kernel="):
-				kernel = strings.TrimPrefix(f, "kernel=")
-			case f == "done=true":
-				done = true
-			case f == "code=0":
-				okCode = true
-			case f == "src=true":
-				src = true
-			}
-		}
-		if kernel != "" && okCode && src {
-			out[kernel] = digestOp{done: done}
-		}
-	}
-	return out
-}
-
-// waitSessions polls until the server's live-session count reaches zero or
-// the deadline passes.
-func waitSessions(srv *daemon.Server, timeout time.Duration) {
-	deadline := time.Now().Add(timeout)
-	for srv.Sessions() != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
 }
 
 // profileCrashLeg runs the profile.rename.mid site: a crash between the
@@ -563,19 +275,20 @@ func profileCrashLeg(seed int64) ccResult {
 		}
 		return nil
 	}
+	// publish measures into p, saves its table at path cleanly, and reads
+	// the published bytes back.
+	publish := func(p *profile.Profiler, extra bool, path string) ([]byte, error) {
+		if err := measure(p, extra); err != nil {
+			return nil, err
+		}
+		if err := p.SaveFile(path, nil); err != nil {
+			return nil, err
+		}
+		return os.ReadFile(path)
+	}
 
 	// The clean run: the bytes recovery must converge to.
-	clean := newProf()
-	if err := measure(clean, true); err != nil {
-		r.err = err
-		return r
-	}
-	cleanPath := filepath.Join(dir, "clean.profiles")
-	if err := clean.SaveFile(cleanPath, nil); err != nil {
-		r.err = err
-		return r
-	}
-	cleanBytes, err := os.ReadFile(cleanPath)
+	cleanBytes, err := publish(newProf(), true, filepath.Join(dir, "clean.profiles"))
 	if err != nil {
 		r.err = err
 		return r
@@ -585,15 +298,7 @@ func profileCrashLeg(seed int64) ccResult {
 	// of the second. The table on disk must still be the first one.
 	path := filepath.Join(dir, "daemon.profiles")
 	victim := newProf()
-	if err := measure(victim, false); err != nil {
-		r.err = err
-		return r
-	}
-	if err := victim.SaveFile(path, nil); err != nil {
-		r.err = err
-		return r
-	}
-	before, err := os.ReadFile(path)
+	before, err := publish(victim, false, path)
 	if err != nil {
 		r.err = err
 		return r
@@ -632,15 +337,7 @@ func profileCrashLeg(seed int64) ccResult {
 		return r
 	}
 	r.acked = st.Loaded
-	if err := measure(restarted, true); err != nil {
-		r.err = err
-		return r
-	}
-	if err := restarted.SaveFile(path, nil); err != nil {
-		r.err = err
-		return r
-	}
-	got, err := os.ReadFile(path)
+	got, err := publish(restarted, true, path)
 	if err != nil {
 		r.err = err
 		return r

@@ -2,15 +2,16 @@
 // runtime. It runs a deterministic script of hostile sessions — spurious
 // OOMs, transient compiler failures, connection resets and torn frames,
 // panicking kernel bodies, clients that vanish without closing — against one
-// live daemon, twice with the same seed, and verifies the fault-tolerance
-// contract: the daemon never crashes, every session-owned resource (shared
-// buffers, orphaned kernel specs) is reclaimed, and both runs produce the
-// identical failure sequence.
+// live daemon, twice at each of seeds N and N+1, and verifies the
+// fault-tolerance contract: the daemon never crashes, every session-owned
+// resource (shared buffers, orphaned kernel specs) is reclaimed, and both
+// runs of a seed produce the identical failure sequence and outcomes.
 package main
 
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"time"
 
@@ -20,26 +21,23 @@ import (
 	"slate/internal/kern"
 )
 
-// chaosConfig shapes one chaos run.
-type chaosConfig struct {
-	seed     int64
-	sessions int
-}
+// faultsSessions is how many hostile client sessions one chaos run opens.
+const faultsSessions = 12
 
 // chaosResult is everything a run produced that must be reproducible.
 type chaosResult struct {
-	faultTrace string   // the injector's fired-fault fingerprint
-	outcomes   []string // one line per client-visible operation outcome
-	registry   int      // live buffers after all sessions ended
-	specs      int      // orphaned spec-table entries after all sessions ended
-	sessions   int      // live sessions at the end (0 = clean drain)
-	fallbacks  int      // vanilla-path degradations recorded by the executor
+	faults    []fault.Event // every fired fault, by site, then hit
+	outcomes  []string      // one line per client-visible operation outcome
+	registry  int           // live buffers after all sessions ended
+	specs     int           // orphaned spec-table entries after all sessions ended
+	sessions  int           // live sessions at the end (0 = clean drain)
+	fallbacks int           // vanilla-path degradations recorded by the executor
 }
 
 // chaosScript runs the deterministic hostile-session script once.
-func chaosScript(cfg chaosConfig) (*chaosResult, error) {
+func chaosScript(seed int64) *chaosResult {
 	inj := fault.New(fault.Config{
-		Seed:              cfg.seed,
+		Seed:              seed,
 		ReadDelayProb:     0.05,
 		WriteResetProb:    0.04,
 		WriteTruncateProb: 0.03,
@@ -50,13 +48,13 @@ func chaosScript(cfg chaosConfig) (*chaosResult, error) {
 	srv.Registry.AllocHook = inj.AllocHook()
 	srv.Compiler.FailHook = inj.CompileHook()
 
-	rng := rand.New(rand.NewSource(cfg.seed))
+	rng := rand.New(rand.NewSource(seed))
 	res := &chaosResult{}
 	note := func(sess int, format string, args ...any) {
 		res.outcomes = append(res.outcomes, fmt.Sprintf("s%02d %s", sess, fmt.Sprintf(format, args...)))
 	}
 
-	for s := 0; s < cfg.sessions; s++ {
+	for s := 0; s < faultsSessions; s++ {
 		nc := inj.WrapConn(dial())
 		cli, err := client.New(nc, fmt.Sprintf("chaos-%d", s),
 			client.WithShared(srv.Registry, srv.Specs),
@@ -112,10 +110,8 @@ func chaosScript(cfg chaosConfig) (*chaosResult, error) {
 			// A unique source kernel per session defeats the compile cache,
 			// so the compiler fault site keeps rolling; compile failures
 			// degrade to the vanilla path instead of failing the launch.
-			src := fmt.Sprintf(
-				"__global__ void k%d(float *x, int n) { int i = blockIdx.x; if (i < n) x[i] = %d.0f; }", s, s)
-			_, degraded, err := cli.LaunchSourceDegraded(src, fmt.Sprintf("k%d", s),
-				kern.D1(8), kern.D1(32), 4)
+			name := fmt.Sprintf("k%d", s)
+			_, degraded, err := cli.LaunchSourceDegraded(kernelSource(name), name, kern.D1(8), kern.D1(32), 4)
 			switch {
 			case err != nil:
 				note(s, "launchSource: %v", err)
@@ -146,99 +142,47 @@ func chaosScript(cfg chaosConfig) (*chaosResult, error) {
 	}
 
 	// Every session's teardown (including abrupt ones) must drain.
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.Sessions() != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	waitSessions(srv, 10*time.Second)
 	res.sessions = srv.Sessions()
 	res.registry = srv.Registry.Len()
 	res.specs = srv.Specs.Len()
-	res.faultTrace = inj.Trace()
+	// The client's reader goroutine rolls the read-delay site while this
+	// script rolls the others, so each site's own sequence is
+	// seed-determined but how the sites interleave is not.
+	res.faults = inj.Events()
+	sort.Slice(res.faults, func(a, b int) bool {
+		fa, fb := res.faults[a], res.faults[b]
+		return fa.Site < fb.Site || fa.Site == fb.Site && fa.N < fb.N
+	})
 	for _, d := range srv.Exec.Decisions {
 		if strings.HasPrefix(d, "fallback ") {
 			res.fallbacks++
 		}
 	}
-	return res, nil
+	return res
 }
 
-// runFaults executes the chaos script twice with the same seed and renders
-// the verdict.
-func runFaults(seed int64, sessions int) (string, error) {
-	if sessions <= 0 {
-		sessions = 12
-	}
-	first, err := chaosScript(chaosConfig{seed: seed, sessions: sessions})
-	if err != nil {
-		return "", err
-	}
-	second, err := chaosScript(chaosConfig{seed: seed, sessions: sessions})
-	if err != nil {
-		return "", err
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "Chaos run: seed=%d sessions=%d\n\n", seed, sessions)
-
-	kinds := map[string]int{}
-	for _, e := range firstEvents(first) {
-		kinds[e]++
-	}
-	fmt.Fprintf(&b, "injected faults: %d\n", len(firstEvents(first)))
-	for _, k := range []string{"delay", "reset", "truncate", "oom", "compile-fail"} {
-		if kinds[k] > 0 {
-			fmt.Fprintf(&b, "  %-13s %d\n", k, kinds[k])
+// runFaults executes the chaos script twice at each seed of the pair and
+// renders the verdict. The double run compares the injector's full fault
+// trace, every client-visible outcome and every check.
+func runFaults(seed int64) (string, error) {
+	return doubleRunSeeds(seed, func(s int64) (string, string, error) {
+		r := chaosScript(s)
+		var b strings.Builder
+		fmt.Fprintf(&b, "Chaos run: seed=%d sessions=%d\n\n", s, faultsSessions)
+		fmt.Fprintf(&b, "injected faults: %d\n", len(r.faults))
+		for _, e := range r.faults {
+			fmt.Fprintf(&b, "  %s\n", e)
 		}
-	}
-	fmt.Fprintf(&b, "client-visible outcomes: %d\n", len(first.outcomes))
-	for _, o := range first.outcomes {
-		fmt.Fprintf(&b, "  %s\n", o)
-	}
-	fmt.Fprintf(&b, "vanilla-path degradations: %d\n\n", first.fallbacks)
-
-	type check struct {
-		name string
-		ok   bool
-		got  string
-	}
-	checks := []check{
-		{"daemon survived (sessions drained)", first.sessions == 0 && second.sessions == 0,
-			fmt.Sprintf("%d/%d live", first.sessions, second.sessions)},
-		{"buffer registry drained", first.registry == 0 && second.registry == 0,
-			fmt.Sprintf("%d/%d buffers", first.registry, second.registry)},
-		{"spec table drained", first.specs == 0 && second.specs == 0,
-			fmt.Sprintf("%d/%d specs", first.specs, second.specs)},
-		{"same seed, same fault sequence", first.faultTrace == second.faultTrace,
-			fmt.Sprintf("%d vs %d events", len(firstEvents(first)), len(firstEvents(second)))},
-		{"same seed, same outcomes", strings.Join(first.outcomes, "\n") == strings.Join(second.outcomes, "\n"),
-			fmt.Sprintf("%d vs %d lines", len(first.outcomes), len(second.outcomes))},
-	}
-	failed := 0
-	for _, c := range checks {
-		mark := "PASS"
-		if !c.ok {
-			mark = "FAIL"
-			failed++
+		fmt.Fprintf(&b, "client-visible outcomes: %d\n", len(r.outcomes))
+		for _, o := range r.outcomes {
+			fmt.Fprintf(&b, "  %s\n", o)
 		}
-		fmt.Fprintf(&b, "[%s] %-36s (%s)\n", mark, c.name, c.got)
-	}
-	if failed > 0 {
-		return b.String(), fmt.Errorf("chaos: %d invariant(s) violated", failed)
-	}
-	return b.String(), nil
-}
-
-// firstEvents splits a run's fault trace into its event kinds.
-func firstEvents(r *chaosResult) []string {
-	if r.faultTrace == "" {
-		return nil
-	}
-	lines := strings.Split(strings.TrimSpace(r.faultTrace), "\n")
-	kinds := make([]string, 0, len(lines))
-	for _, l := range lines {
-		if i := strings.LastIndexByte(l, ':'); i >= 0 {
-			kinds = append(kinds, l[i+1:])
-		}
-	}
-	return kinds
+		fmt.Fprintf(&b, "vanilla-path degradations: %d\n\n", r.fallbacks)
+		v := verdicts{b: &b}
+		v.check("daemon survived (sessions drained)", r.sessions == 0, "%d live", r.sessions)
+		v.check("buffer registry drained", r.registry == 0, "%d buffers", r.registry)
+		v.check("spec table drained", r.specs == 0, "%d specs", r.specs)
+		return b.String(), b.String(), v.err()
+	})
 }

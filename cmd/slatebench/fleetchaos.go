@@ -15,7 +15,8 @@
 //     its original token and completes new work; surviving sessions never
 //     notice; DrainAll terminates;
 //   - determinism: the whole matrix, run twice in-process with the same
-//     seed, renders byte-identically.
+//     seed, renders byte-identically, down to each victim launch's durable
+//     accept, durable completion and executions on each survivor.
 package main
 
 import (
@@ -24,100 +25,75 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"text/tabwriter"
 	"time"
 
 	"slate/internal/client"
 	"slate/internal/daemon"
 	"slate/internal/fault"
 	"slate/internal/fleet"
-	"slate/internal/kern"
 )
 
 // fcFaults lists the injected fleet faults: a daemon death at each journal
 // crash site, an operator-initiated kill, and a network partition.
-func fcFaults() []string {
-	return []string{
-		fault.SiteJournalAppendPre,
-		fault.SiteJournalAppendPost,
-		fault.SiteCheckpointMid,
-		"kill",
-		"partition",
-	}
-}
+var fcFaults = append(append([]string{}, journalSites...), "kill", "partition")
 
 const (
-	fcMembers        = 3
 	fcVictimLaunches = 5
 	fcOtherLaunches  = 3
 )
 
+// fcCase is one matrix case: which member is the victim, and its fault.
+type fcCase struct {
+	victim int
+	site   string
+}
+
 // fcResult is one (fault, victim, seed) cell.
 type fcResult struct {
-	site     string
-	victim   string
-	seed     int64
-	fired    bool // the injected fault actually landed
-	acked    int  // launches the victim's client had acked
-	synced   int  // launches synced (completion durable) before the fault
-	replayed int  // incomplete launches the adopter re-executed
+	fired    bool     // the injected fault actually landed
+	synced   int      // launches synced (completion durable) before the fault
+	replayed int      // incomplete launches the adopter re-executed
+	ledger   string   // per victim launch: durable accept, completion, survivor runs
+	acked    int      // launches the victim's client had acked
+	pending  []uint64 // op IDs the victim's client held unsettled at the fault
 	err      error
 }
 
-// runFleetChaos drives the matrix twice and demands byte-identical output.
+// runFleetChaos drives the matrix twice and demands the two runs agree on
+// every seed-determined column, the victim's launch ledger included.
+// Whether the victim's client saw an ack is not seed-determined — the
+// daemon journals an accept and queues the kernel before it writes the ack,
+// so when the armed crash is that launch's completion append, goroutine
+// scheduling decides — so the client view prints outside the compared text.
 func runFleetChaos(seed int64) (string, error) {
-	out1, err := fleetChaosMatrix(seed)
-	if err != nil {
-		return out1, err
-	}
-	out2, err := fleetChaosMatrix(seed)
-	if err != nil {
-		return out2, err
-	}
-	if out1 != out2 {
-		return out1 + "\n--- second run differed ---\n" + out2,
-			errors.New("fleetchaos: double run not byte-identical")
-	}
-	return out1 + "\ndouble run byte-identical: true\n", nil
-}
-
-func fleetChaosMatrix(seed int64) (string, error) {
-	var rows []fcResult
-	for _, s := range []int64{seed, seed + 1} {
-		for v := 0; v < fcMembers; v++ {
-			for _, site := range fcFaults() {
-				r := fleetChaosLeg(s, v, site)
-				r.site, r.victim, r.seed = site, fmt.Sprintf("gpu%d", v), s
-				rows = append(rows, r)
-			}
+	var cases []fcCase
+	for v := 0; v < fleetMembers; v++ {
+		for _, site := range fcFaults {
+			cases = append(cases, fcCase{v, site})
 		}
 	}
-	var b strings.Builder
-	b.WriteString("Fleet-chaos matrix (fault the member, detect, fail over, verify)\n")
-	fmt.Fprintf(&b, "%-22s %-7s %-5s %-6s %-6s %-7s %-8s %s\n",
-		"fault", "victim", "seed", "fired", "acked", "synced", "replayed", "verdict")
-	var firstErr error
-	for _, r := range rows {
-		verdict := "PASS"
-		if r.err != nil {
-			verdict = "FAIL: " + r.err.Error()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s victim=%s seed=%d: %w", r.site, r.victim, r.seed, r.err)
-			}
-		}
-		fmt.Fprintf(&b, "%-22s %-7s %-5d %-6v %-6d %-7d %-8d %s\n",
-			r.site, r.victim, r.seed, r.fired, r.acked, r.synced, r.replayed, verdict)
-	}
-	if firstErr != nil {
-		return b.String(), firstErr
-	}
-	b.WriteString("\nall fleet faults recovered: exactly-once fleet-wide, no lost completions, no starved session\n")
-	return b.String(), nil
-}
-
-// fcKernel names one scripted launch so executions are countable per cell.
-func fcKernel(site string, seed int64, member, i int) string {
-	return fmt.Sprintf("fc_%s_%d_m%d_%d",
-		strings.NewReplacer(".", "_", "-", "_").Replace(site), seed, member, i)
+	return doubleRun(func() (string, string, error) {
+		var view strings.Builder
+		view.WriteString("Victim client view (not compared: ack delivery races the crash)\n")
+		tw := tabwriter.NewWriter(&view, 0, 0, 1, ' ', 0)
+		fmt.Fprintln(tw, "fault\tvictim\tseed\tacked\tpending")
+		cells := seedMatrix(seed, cases, func(s int64, c fcCase) cell {
+			r := fleetChaosLeg(s, c.victim, c.site)
+			victim := fmt.Sprintf("gpu%d", c.victim)
+			fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%v\n", c.site, victim, s, r.acked, r.pending)
+			return cell{cols: []any{c.site, victim, s, r.fired, r.synced, r.replayed, r.ledger}, err: r.err}
+		})
+		tw.Flush()
+		table, err := matrix{
+			title: "Fleet-chaos matrix (fault the member, detect, fail over, verify)\n" +
+				"ledger: per victim launch, A = accept durable, D = completion durable, / executions on each survivor",
+			header: []string{"fault", "victim", "seed", "fired", "synced", "replayed", "ledger"},
+			keys:   3,
+			footer: "all fleet faults recovered: exactly-once fleet-wide, no lost completions, no starved session",
+		}.render(cells)
+		return table + "\n" + view.String(), table, err
+	})
 }
 
 // fleetChaosLeg runs one cell: build a three-member durable fleet, place one
@@ -132,14 +108,6 @@ func fleetChaosLeg(seed int64, victimIdx int, site string) fcResult {
 	}
 	defer os.RemoveAll(base)
 
-	sup := fleet.New(fleet.Config{
-		HeartbeatEvery: 500 * time.Millisecond,
-		PingTimeout:    2 * time.Second,
-		MinStd:         50 * time.Millisecond,
-		AutoFailover:   true,
-		RoundRobin:     true, // deterministic placement: the double-run must re-home identically
-		PartitionMode:  fault.PartitionReject,
-	})
 	// The victim gets the armed crash point (when the fault is a crash
 	// site) and an aggressive compaction cadence so the checkpoint site is
 	// reachable within the scripted workload.
@@ -153,40 +121,28 @@ func fleetChaosLeg(seed int64, victimIdx int, site string) fcResult {
 		crasher = fault.NewCrasher(site, hit)
 	}
 	victimName := fmt.Sprintf("gpu%d", victimIdx)
-	for i := 0; i < fcMembers; i++ {
-		dur := &daemon.Durability{Dir: filepath.Join(base, fmt.Sprintf("m%d", i)), NoSync: true}
-		if err := os.MkdirAll(dur.Dir, 0o755); err != nil {
-			r.err = err
-			return r
-		}
+	sup, err := newFleet(failoverConfig, base, func(i int, d *daemon.Durability) {
 		if i == victimIdx && crasher != nil {
-			dur.Crash = crasher.Hook()
-			dur.CompactEvery = 4
+			d.Crash = crasher.Hook()
+			d.CompactEvery = 4
 		}
-		if _, err := sup.AddMember(fleet.MemberSpec{
-			Name: fmt.Sprintf("gpu%d", i), Profile: []string{"A100", "TitanXp", "P100"}[i],
-		Durability: dur}); err != nil {
-			r.err = err
-			return r
-		}
+	})
+	if err != nil {
+		r.err = err
+		return r
 	}
 	t0 := time.Unix(100_000, 0)
 	sup.Tick(t0) // prime every detector with a healthy beat
 
 	// One session per member, placed round-robin: client i lands on gpu<i>.
-	clients := make([]*client.Client, fcMembers)
+	clients := make([]*client.Client, fleetMembers)
 	for i := range clients {
 		m, err := sup.Route("")
 		if err != nil {
 			r.err = err
 			return r
 		}
-		nc, err := m.Dial()()
-		if err != nil {
-			r.err = err
-			return r
-		}
-		c, err := client.New(nc, fmt.Sprintf("fc-sess-%d", i), client.WithTimeout(5*time.Second))
+		c, err := dialMember(m, fmt.Sprintf("fc-sess-%d", i), client.WithTimeout(5*time.Second))
 		if err != nil {
 			r.err = fmt.Errorf("handshake on %s: %w", m.Name, err)
 			return r
@@ -200,25 +156,16 @@ func fleetChaosLeg(seed int64, victimIdx int, site string) fcResult {
 	// Victim workload: sync after every launch, so the journal append
 	// sequence (and therefore the armed crash point) is deterministic, and
 	// so "synced" exactly identifies launches with durable completions.
-	acked := map[string]bool{}
-	synced := map[string]bool{}
-	for i := 0; i < fcVictimLaunches; i++ {
-		name := fcKernel(site, seed, victimIdx, i)
-		_, _, lerr := vc.LaunchSourceDegraded(srcForFc(name), name, kern.D1(4), kern.D1(32), 4)
-		switch {
-		case lerr == nil:
-			acked[name] = true
-		case errors.Is(lerr, client.ErrDaemonDown) || errors.Is(lerr, client.ErrTimeout):
-			// The victim died under this call; Resume may replay it.
-		default:
-			r.err = fmt.Errorf("victim launch %s: %v", name, lerr)
+	names := make([]string, fcVictimLaunches)
+	for i := range names {
+		names[i] = kernelName("fc", site, seed, fmt.Sprintf("m%d", victimIdx), i)
+	}
+	led := newLedger(names)
+	for _, name := range names {
+		if r.err = led.record(name, launchNamed(vc.LaunchSourceDegraded, name)); r.err != nil {
 			return r
 		}
-		if serr := vc.Synchronize(); serr == nil {
-			for n := range acked {
-				synced[n] = true
-			}
-		}
+		led.synchronize(vc.Synchronize())
 	}
 	// Surviving sessions run their own work, synced up front so the fault
 	// cannot be blamed for anything that happens to them later.
@@ -227,8 +174,8 @@ func fleetChaosLeg(seed int64, victimIdx int, site string) fcResult {
 			continue
 		}
 		for j := 0; j < fcOtherLaunches; j++ {
-			name := fcKernel(site, seed, i, j)
-			if _, _, err := c.LaunchSourceDegraded(srcForFc(name), name, kern.D1(4), kern.D1(32), 4); err != nil {
+			name := kernelName("fc", site, seed, fmt.Sprintf("m%d", i), j)
+			if err := launchNamed(c.LaunchSourceDegraded, name); err != nil {
 				r.err = fmt.Errorf("bystander launch %s: %v", name, err)
 				return r
 			}
@@ -238,7 +185,7 @@ func fleetChaosLeg(seed int64, victimIdx int, site string) fcResult {
 			return r
 		}
 	}
-	r.acked, r.synced = len(acked), len(synced)
+	r.acked, r.synced = len(led.acked), len(led.synced)
 
 	// Inject the fault and drive detection.
 	switch {
@@ -275,10 +222,8 @@ func fleetChaosLeg(seed int64, victimIdx int, site string) fcResult {
 	}
 
 	// The session re-homed; resume it there with the original token.
-	var pendingName string
-	if op := vc.PendingOp(); op >= 1 && op <= fcVictimLaunches {
-		pendingName = fcKernel(site, seed, victimIdx, int(op-1))
-	}
+	r.pending = vc.PendingOps()
+	led.hold(r.pending)
 	adopterName, lerr := sup.Locate(token, victimName)
 	if !errors.Is(lerr, fleet.ErrRehomed) {
 		r.err = fmt.Errorf("Locate = %q, %v; want ErrRehomed", adopterName, lerr)
@@ -299,68 +244,22 @@ func fleetChaosLeg(seed int64, victimIdx int, site string) fcResult {
 		return r
 	}
 
-	// Audit against the victim's tombstoned journal. Digesting twice also
-	// proves replay idempotence over the adopted segment.
-	tomb := filepath.Join(victim.StateDir(), "adopted")
-	d1, err := daemon.StateDigest(tomb)
+	// Audit against the victim's tombstoned journal: exactly-once
+	// fleet-wide (non-durable victim executions died with the device, so
+	// only the survivors' count), and no completed launch lost.
+	durable, err := durableLaunches(filepath.Join(victim.StateDir(), "adopted"))
 	if err != nil {
-		r.err = fmt.Errorf("tombstone digest: %w", err)
+		r.err = fmt.Errorf("tombstone: %w", err)
 		return r
 	}
-	d2, err := daemon.StateDigest(tomb)
-	if err != nil {
-		r.err = err
-		return r
+	var survivors []*daemon.Server
+	for _, m := range sup.Members() {
+		if m.Name != victimName {
+			survivors = append(survivors, m.Srv())
+		}
 	}
-	if d1 != d2 {
-		r.err = errors.New("tombstone digest changed between consecutive replays")
+	if r.replayed, r.ledger, r.err = led.audit(durable, survivors); r.err != nil {
 		return r
-	}
-	durable := parseDigestOps(d1)
-
-	// Exactly-once fleet-wide, and no completed launch lost.
-	for i := 0; i < fcVictimLaunches; i++ {
-		name := fcKernel(site, seed, victimIdx, i)
-		runs := 0
-		for _, m := range sup.Members() {
-			if m.Name == victimName {
-				continue // non-durable victim executions died with the device
-			}
-			runs += m.Srv().Exec.Runs("src:" + name)
-		}
-		ent, inJournal := durable[name]
-		switch {
-		case inJournal:
-			done := 0
-			if ent.done {
-				done = 1
-			}
-			if runs+done != 1 {
-				r.err = fmt.Errorf("%s: survivor-runs=%d + victim-durable-done=%d, want exactly 1", name, runs, done)
-				return r
-			}
-			if !ent.done {
-				r.replayed++
-			}
-		case name == pendingName:
-			if runs != 1 {
-				r.err = fmt.Errorf("%s: re-sent pending op ran %d times on survivors, want 1", name, runs)
-				return r
-			}
-		default:
-			if runs != 0 {
-				r.err = fmt.Errorf("%s: never accepted, yet ran %d times", name, runs)
-				return r
-			}
-		}
-		if synced[name] && (!inJournal || !ent.done) {
-			r.err = fmt.Errorf("%s: synced before the fault but its completion is not durable (lost complete)", name)
-			return r
-		}
-		if acked[name] && !inJournal {
-			r.err = fmt.Errorf("%s: acked but accept record not durable (write-ahead violated)", name)
-			return r
-		}
 	}
 
 	// A healed partition must not resurrect the fenced victim.
@@ -378,8 +277,8 @@ func fleetChaosLeg(seed int64, victimIdx int, site string) fcResult {
 	// No session starves: the re-homed session and every bystander complete
 	// fresh work and close cleanly.
 	for i, c := range clients {
-		name := fcKernel(site, seed, i, 90)
-		if _, _, err := c.LaunchSourceDegraded(srcForFc(name), name, kern.D1(4), kern.D1(32), 4); err != nil {
+		name := kernelName("fc", site, seed, fmt.Sprintf("m%d", i), 90)
+		if err := launchNamed(c.LaunchSourceDegraded, name); err != nil {
 			r.err = fmt.Errorf("liveness launch session %d: %v", i, err)
 			return r
 		}
@@ -397,10 +296,4 @@ func fleetChaosLeg(seed int64, victimIdx int, site string) fcResult {
 		return r
 	}
 	return r
-}
-
-// srcForFc wraps a kernel name in minimal CUDA source, like ccSource but
-// kept separate so the two chaos drivers stay independently editable.
-func srcForFc(name string) string {
-	return fmt.Sprintf("__global__ void %s(float *x, int n) { int i = blockIdx.x; if (i < n) x[i] = 1.0f; }", name)
 }

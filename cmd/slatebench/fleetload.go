@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -42,7 +43,6 @@ import (
 )
 
 const (
-	flMembers = 3
 	// flDegraded is the member made gray in the degraded leg.
 	flDegraded = "gpu2"
 	// flBurstTarget takes the overload burst (a healthy member: the burst
@@ -110,7 +110,6 @@ type flLegStats struct {
 	wallSec      float64
 	latencies    []time.Duration // healthy-member session op latencies
 	leakFree     bool
-	eventKinds   map[string]bool // structured event kinds observed
 	slowActions  map[string]bool // slow-event actions observed (eject/readmit)
 	degradeSeen  map[string]bool // degrade-event actions observed (on/off)
 	routedToGray int             // sessions placed on the degraded member (must be 0)
@@ -131,18 +130,20 @@ func runFleetLoad(seed int64, sessions int, benchOut string) error {
 		}
 	}
 
-	out1, rec, err := fleetLoadOnce(seed, sessions)
-	if err != nil {
-		fmt.Print(out1)
+	var rec flRecord
+	first := true
+	out, err := doubleRun(func() (string, string, error) {
+		out, r, err := fleetLoadOnce(seed, sessions)
+		if first {
+			rec, first = r, false
+		}
+		return out, out, err
+	})
+	fmt.Print(out)
+	if err != nil && !errors.Is(err, errNotIdentical) {
 		return err
 	}
-	out2, _, err := fleetLoadOnce(seed, sessions)
-	if err != nil {
-		fmt.Print(out2)
-		return err
-	}
-	rec.Identical = out1 == out2
-	fmt.Print(out1)
+	rec.Identical = err == nil
 
 	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {
@@ -158,7 +159,7 @@ func runFleetLoad(seed int64, sessions int, benchOut string) error {
 	fmt.Printf("wrote %s\n", benchOut)
 
 	if !rec.Identical {
-		return errors.New("fleetload: double run not byte-identical — determinism contract broken")
+		return fmt.Errorf("%w — determinism contract broken", errNotIdentical)
 	}
 	eff := effectiveParallelism()
 	if eff < 2 {
@@ -191,14 +192,14 @@ func fleetLoadOnce(seed int64, sessions int) (string, flRecord, error) {
 	rec := flRecord{
 		Experiment: "fleetload",
 		Sessions:   sessions,
-		Members:    flMembers,
+		Members:    fleetMembers,
 		Seed:       seed,
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Fleet load: members=%d sessions=%d burst=%d expired_probes=%d max_pending=%d seed=%d\n",
-		flMembers, sessions, flBurstClients, flExpiredProbes, flMaxPending, seed)
+		fleetMembers, sessions, flBurstClients, flExpiredProbes, flMaxPending, seed)
 
 	base, err := fleetLoadLeg(seed, sessions, false)
 	if err != nil {
@@ -233,13 +234,6 @@ func fleetLoadOnce(seed int64, sessions int) (string, flRecord, error) {
 	return b.String(), rec, nil
 }
 
-// flSource wraps the leg's kernel in minimal CUDA source. One name per leg:
-// every session launches the same kernel, so the compile caches stay warm
-// and fleet-wide executions are countable with one Exec.Runs key.
-func flSource(name string) string {
-	return fmt.Sprintf("__global__ void %s(float *x, int n) { int i = blockIdx.x; if (i < n) x[i] = 1.0f; }", name)
-}
-
 // flWorkers bounds in-flight session operations: enough to keep every core
 // and both healthy members' executors saturated, without 100k simultaneous
 // in-flight launches defeating the admission cap's purpose.
@@ -257,14 +251,13 @@ func flWorkers() int {
 // fleetLoadLeg drives one leg end to end and audits every invariant.
 func fleetLoadLeg(seed int64, sessions int, degraded bool) (*flLegStats, error) {
 	st := &flLegStats{
-		eventKinds:  map[string]bool{},
 		slowActions: map[string]bool{},
 		degradeSeen: map[string]bool{},
 	}
 	gBase := leakcheck.Snapshot()
 
 	var evMu sync.Mutex
-	sup := fleet.New(fleet.Config{
+	sup, err := newFleet(fleet.Config{
 		HeartbeatEvery: 50 * time.Millisecond,
 		PingTimeout:    2 * time.Second,
 		MinStd:         50 * time.Millisecond,
@@ -279,7 +272,6 @@ func fleetLoadLeg(seed int64, sessions int, degraded bool) (*flLegStats, error) 
 				return
 			}
 			evMu.Lock()
-			st.eventKinds[kind] = true
 			if kind == "slow" && fields["member"] == flDegraded {
 				st.slowActions[fields["action"]] = true
 			}
@@ -288,17 +280,14 @@ func fleetLoadLeg(seed int64, sessions int, degraded bool) (*flLegStats, error) 
 			}
 			evMu.Unlock()
 		},
-	})
-	for i := 0; i < flMembers; i++ {
-		m, err := sup.AddMember(fleet.MemberSpec{
-			Name: fmt.Sprintf("gpu%d", i), Profile: []string{"A100", "TitanXp", "P100"}[i],
-		})
-		if err != nil {
-			return st, err
-		}
-		// Daemon-wide overload shed: past the cap, admission refuses with
-		// BACKPRESSURE, except for a session already shed past the aging
-		// bound. Set before any traffic.
+	}, "", nil)
+	if err != nil {
+		return st, err
+	}
+	// Daemon-wide overload shed: past the cap, admission refuses with
+	// BACKPRESSURE, except for a session already shed past the aging bound.
+	// Set before any traffic.
+	for _, m := range sup.Members() {
 		m.Srv().MaxTotalPending = flMaxPending
 	}
 
@@ -314,8 +303,11 @@ func fleetLoadLeg(seed int64, sessions int, degraded bool) (*flLegStats, error) 
 	if degraded {
 		legTag = "degr"
 	}
+	// One kernel per leg: every session launches it, so the compile caches
+	// stay warm and fleet-wide executions are countable with one Exec.Runs
+	// key.
 	kernel := fmt.Sprintf("fl_%s_%d", legTag, seed)
-	src := flSource(kernel)
+	src := kernelSource(kernel)
 
 	if degraded {
 		// Make gpu2 gray: persistent seeded stalls plus flaky drops — it
@@ -360,18 +352,10 @@ func fleetLoadLeg(seed int64, sessions int, degraded bool) (*flLegStats, error) 
 	flRunWorkers(sessions, func(i int) {
 		m, err := sup.Route("")
 		if err == nil {
-			conn, derr := m.Dial()()
-			if derr != nil {
-				err = derr
-			} else {
-				c, cerr := client.New(conn, fmt.Sprintf("fl-%s-%d", legTag, i),
-					client.WithTimeout(60*time.Second), client.WithLaunchDeadline(30*time.Second))
-				if cerr != nil {
-					err = cerr
-				} else {
-					clients[i] = sess{c: c, member: m.Name}
-				}
-			}
+			var c *client.Client
+			c, err = dialMember(m, fmt.Sprintf("fl-%s-%d", legTag, i),
+				client.WithTimeout(60*time.Second), client.WithLaunchDeadline(30*time.Second))
+			clients[i] = sess{c: c, member: m.Name}
 		}
 		if err != nil {
 			mu.Lock()
@@ -460,14 +444,9 @@ func fleetLoadLeg(seed int64, sessions int, degraded bool) (*flLegStats, error) 
 		}
 		// And it serves again: place a session directly on it and complete
 		// real work over the now-clean link.
-		m := sup.MemberByName(flDegraded)
-		nc, err := m.Dial()()
+		c, err := dialMember(sup.MemberByName(flDegraded), "fl-verify", client.WithTimeout(60*time.Second))
 		if err != nil {
-			return st, fmt.Errorf("post-recovery dial: %w", err)
-		}
-		c, err := client.New(nc, "fl-verify", client.WithTimeout(60*time.Second))
-		if err != nil {
-			return st, fmt.Errorf("post-recovery handshake: %w", err)
+			return st, fmt.Errorf("post-recovery session: %w", err)
 		}
 		if _, _, err := c.LaunchSourceDegraded(src, kernel, kern.D1(4), kern.D1(32), 4); err != nil {
 			return st, fmt.Errorf("post-recovery launch: %w", err)
@@ -527,11 +506,7 @@ func flBurst(sup *fleet.Supervisor, seed int64, src, kernel string, st *flLegSta
 	// Deterministic deadline sheds.
 	expired := 0
 	for i := 0; i < flExpiredProbes; i++ {
-		nc, err := m.Dial()()
-		if err != nil {
-			return err
-		}
-		c, err := client.New(nc, fmt.Sprintf("fl-exp-%d", i),
+		c, err := dialMember(m, fmt.Sprintf("fl-exp-%d", i),
 			client.WithTimeout(60*time.Second), client.WithLaunchDeadline(time.Nanosecond))
 		if err != nil {
 			return err
@@ -558,21 +533,17 @@ func flBurst(sup *fleet.Supervisor, seed int64, src, kernel string, st *flLegSta
 	var wg sync.WaitGroup
 	burstOne := func(i int) {
 		defer wg.Done()
-		nc, err := m.Dial()()
+		c, err := dialMember(m, fmt.Sprintf("fl-burst-%d", i), client.WithTimeout(60*time.Second))
 		if err == nil {
-			var c *client.Client
-			c, err = client.New(nc, fmt.Sprintf("fl-burst-%d", i), client.WithTimeout(60*time.Second))
-			if err == nil {
-				ok, s := flLaunchWithRetry(c, src, kernel, flSessionBound)
-				if !ok {
-					err = errors.New("burst session starved")
-				}
-				mu.Lock()
-				sheds += s
-				mu.Unlock()
-				if cerr := c.Close(); err == nil && cerr != nil {
-					err = cerr
-				}
+			ok, s := flLaunchWithRetry(c, src, kernel, flSessionBound)
+			if !ok {
+				err = errors.New("burst session starved")
+			}
+			mu.Lock()
+			sheds += s
+			mu.Unlock()
+			if cerr := c.Close(); err == nil && cerr != nil {
+				err = cerr
 			}
 		}
 		if err != nil {
@@ -659,14 +630,15 @@ func flRunWorkers(n int, f func(i int)) {
 	wg.Wait()
 }
 
-// flQuantileUS is the q-th nearest-rank quantile of ds, in microseconds.
+// flQuantileUS is the q-th nearest-rank quantile of ds, in microseconds:
+// the smallest sample with at least q·n samples at or below it.
 func flQuantileUS(ds []time.Duration, q float64) float64 {
 	if len(ds) == 0 {
 		return 0
 	}
 	sorted := append([]time.Duration(nil), ds...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(q*float64(len(sorted))+0.5) - 1
+	idx := int(math.Ceil(q*float64(len(sorted)))) - 1
 	if idx < 0 {
 		idx = 0
 	}

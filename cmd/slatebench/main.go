@@ -26,7 +26,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment: all|fig1|…|fig7|ablation|staticmerge|triples|cloud|extpairs|sensitivity|faults|overload|crashchaos|fleetchaos|rollingchaos|parbench|modelbench|dispatch|fleetload")
 	loop := flag.Float64("loop", 3.0, "solo kernel loop target in seconds (paper used ~30)")
 	seed := flag.Int64("seed", 1, "trace-model and chaos-driver seed (same seed = same tables)")
-	chaosSessions := flag.Int("chaos-sessions", 12, "hostile client sessions per faults chaos run")
 	csvDir := flag.String("csv", "", "directory to write CSV series into (optional)")
 	svgDir := flag.String("svg", "", "directory to write SVG figures into (optional)")
 	devName := flag.String("device", "titanxp", "device preset: titanxp|p100|v100|jetson")
@@ -57,41 +56,21 @@ func main() {
 	fmt.Printf("device: %s\n\n", dev.Name)
 
 	selected := strings.ToLower(*exp)
-	if selected == "parbench" {
-		// Benchmark mode: not part of -exp all, because it deliberately runs
-		// the heaviest sweep twice (cold serial, cold parallel).
-		if err := runParbench(dev, *loop, *seed, *parallel, *benchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "slatebench: parbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	// Benchmark modes are not part of -exp all: each deliberately repeats
+	// work — parbench the heaviest sweep (cold serial, cold parallel),
+	// modelbench every cold model build (legacy path, one-pass path),
+	// fleetload the 100k-session storm (baseline leg, degraded leg, each
+	// twice for the double run), dispatch the launch path against a
+	// real-fsync durable daemon (single, batched).
+	benches := map[string]func() error{
+		"parbench":   func() error { return runParbench(dev, *loop, *seed, *parallel, *benchOut) },
+		"modelbench": func() error { return runModelbench(dev, *seed, *modelBenchOut) },
+		"fleetload":  func() error { return runFleetLoad(*seed, *fleetSessions, *fleetBenchOut) },
+		"dispatch":   func() error { return runDispatchBench(*dispatchBenchOut) },
 	}
-	if selected == "modelbench" {
-		// Benchmark mode: not part of -exp all, because it deliberately runs
-		// every cold model build twice (legacy path, one-pass path).
-		if err := runModelbench(dev, *seed, *modelBenchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "slatebench: modelbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if selected == "fleetload" {
-		// Benchmark mode: not part of -exp all, because it deliberately runs
-		// the 100k-session storm twice (baseline leg, degraded leg) twice
-		// over (the byte-identical double run).
-		if err := runFleetLoad(*seed, *fleetSessions, *fleetBenchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "slatebench: fleetload: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if selected == "dispatch" {
-		// Benchmark mode: not part of -exp all, because it times the launch
-		// path against a real-fsync durable daemon twice (single, batched).
-		if err := runDispatchBench(*dispatchBenchOut); err != nil {
-			fmt.Fprintf(os.Stderr, "slatebench: dispatch: %v\n", err)
+	if run, ok := benches[selected]; ok {
+		if err := run(); err != nil {
+			fmt.Fprintf(os.Stderr, "slatebench: %s: %v\n", selected, err)
 			os.Exit(1)
 		}
 		return
@@ -99,35 +78,30 @@ func main() {
 
 	h := harness.New(harness.Config{LoopSeconds: *loop, Dev: dev, Seed: *seed, Parallel: *parallel})
 
-	type experiment struct {
-		name string
-		run  func() (string, string, error) // render, csv
-		svg  func() (string, error)
+	// result is what every experiment returns: a render, plus CSV and SVG
+	// methods on the results that have them.
+	type result = interface{ Render() string }
+	// chaos adapts a chaos scenario, whose render is returned with its
+	// error so a failure still shows its table.
+	chaos := func(run func(seed int64) (string, error)) func() (result, error) {
+		return func() (result, error) {
+			out, err := run(*seed)
+			return text(out), err
+		}
 	}
-	experiments := []experiment{
-		{name: "fig1", run: func() (string, string, error) {
-			r, err := h.Fig1()
-			if err != nil {
-				return "", "", err
-			}
-			return r.Render(), r.CSV(), nil
-		}, svg: func() (string, error) {
-			r, err := h.Fig1()
-			if err != nil {
-				return "", err
-			}
-			return r.SVG(), nil
-		}},
-		{name: "table1", run: func() (string, string, error) {
-			return harness.TableIRender(), "", nil
-		}},
-		{name: "table2", run: func() (string, string, error) {
+	experiments := []struct {
+		name string
+		run  func() (result, error)
+	}{
+		{"fig1", func() (result, error) { return h.Fig1() }},
+		{"table1", func() (result, error) { return text(harness.TableIRender()), nil }},
+		{"table2", func() (result, error) {
 			prof := profile.New(dev, h.Model)
 			if *profileTable != "" {
 				if f, err := os.Open(*profileTable); err == nil {
 					if err := prof.Load(f); err != nil {
 						f.Close()
-						return "", "", err
+						return nil, err
 					}
 					f.Close()
 					fmt.Printf("loaded profile table %s (%d entries)\n", *profileTable, prof.Len())
@@ -135,143 +109,40 @@ func main() {
 			}
 			r, err := h.TableIIWith(prof)
 			if err != nil {
-				return "", "", err
+				return nil, err
 			}
 			if *profileTable != "" {
 				f, err := os.Create(*profileTable)
 				if err != nil {
-					return "", "", err
+					return nil, err
 				}
 				defer f.Close()
 				if err := prof.Save(f); err != nil {
-					return "", "", err
+					return nil, err
 				}
 				fmt.Printf("saved profile table %s (%d entries)\n", *profileTable, prof.Len())
 			}
-			return r.Render(), r.CSV(), nil
+			return r, nil
 		}},
-		{name: "table3", run: func() (string, string, error) {
-			r, err := h.TableIII()
-			if err != nil {
-				return "", "", err
-			}
-			return r.Render(), "", nil
+		{"table3", func() (result, error) { return h.TableIII() }},
+		{"table4", func() (result, error) { return h.TableIV() }},
+		{"table5", func() (result, error) { return h.TableV() }},
+		{"fig5", func() (result, error) { return h.Fig5() }},
+		{"fig6", func() (result, error) { return h.Fig6() }},
+		{"fig7", func() (result, error) { return h.Fig7() }},
+		{"ablation", func() (result, error) { return h.Ablations() }},
+		{"staticmerge", func() (result, error) { return h.StaticMerge() }},
+		{"triples", func() (result, error) { return h.Triples() }},
+		{"cloud", func() (result, error) {
+			return h.CloudTrace(harness.CloudTraceConfig{Jobs: 10, Seed: 1})
 		}},
-		{name: "table4", run: func() (string, string, error) {
-			r, err := h.TableIV()
-			if err != nil {
-				return "", "", err
-			}
-			return r.Render(), "", nil
-		}},
-		{name: "table5", run: func() (string, string, error) {
-			r, err := h.TableV()
-			if err != nil {
-				return "", "", err
-			}
-			return r.Render(), "", nil
-		}},
-		{name: "fig5", run: func() (string, string, error) {
-			r, err := h.Fig5()
-			if err != nil {
-				return "", "", err
-			}
-			return r.Render(), r.CSV(), nil
-		}, svg: func() (string, error) {
-			r, err := h.Fig5()
-			if err != nil {
-				return "", err
-			}
-			return r.SVG(), nil
-		}},
-		{name: "fig6", run: func() (string, string, error) {
-			r, err := h.Fig6()
-			if err != nil {
-				return "", "", err
-			}
-			return r.Render(), r.CSV(), nil
-		}, svg: func() (string, error) {
-			r, err := h.Fig6()
-			if err != nil {
-				return "", err
-			}
-			return r.SVG(), nil
-		}},
-		{name: "fig7", run: func() (string, string, error) {
-			r, err := h.Fig7()
-			if err != nil {
-				return "", "", err
-			}
-			return r.Render(), r.CSV(), nil
-		}, svg: func() (string, error) {
-			r, err := h.Fig7()
-			if err != nil {
-				return "", err
-			}
-			return r.SVG(), nil
-		}},
-		{name: "ablation", run: func() (string, string, error) {
-			r, err := h.Ablations()
-			if err != nil {
-				return "", "", err
-			}
-			return r.Render(), "", nil
-		}},
-		{name: "staticmerge", run: func() (string, string, error) {
-			r, err := h.StaticMerge()
-			if err != nil {
-				return "", "", err
-			}
-			return r.Render(), "", nil
-		}},
-		{name: "triples", run: func() (string, string, error) {
-			r, err := h.Triples()
-			if err != nil {
-				return "", "", err
-			}
-			return r.Render(), "", nil
-		}},
-		{name: "cloud", run: func() (string, string, error) {
-			r, err := h.CloudTrace(harness.CloudTraceConfig{Jobs: 10, Seed: 1})
-			if err != nil {
-				return "", "", err
-			}
-			return r.Render(), "", nil
-		}},
-		{name: "extpairs", run: func() (string, string, error) {
-			r, err := h.ExtendedPairs()
-			if err != nil {
-				return "", "", err
-			}
-			return r.Render(), "", nil
-		}},
-		{name: "sensitivity", run: func() (string, string, error) {
-			r, err := h.Sensitivity()
-			if err != nil {
-				return "", "", err
-			}
-			return r.Render(), "", nil
-		}},
-		{name: "faults", run: func() (string, string, error) {
-			r, err := runFaults(*seed, *chaosSessions)
-			return r, "", err
-		}},
-		{name: "overload", run: func() (string, string, error) {
-			r, err := runOverload(*seed)
-			return r, "", err
-		}},
-		{name: "crashchaos", run: func() (string, string, error) {
-			r, err := runCrashChaos(*seed)
-			return r, "", err
-		}},
-		{name: "fleetchaos", run: func() (string, string, error) {
-			r, err := runFleetChaos(*seed)
-			return r, "", err
-		}},
-		{name: "rollingchaos", run: func() (string, string, error) {
-			r, err := runRollingChaos(*seed)
-			return r, "", err
-		}},
+		{"extpairs", func() (result, error) { return h.ExtendedPairs() }},
+		{"sensitivity", func() (result, error) { return h.Sensitivity() }},
+		{"faults", chaos(runFaults)},
+		{"overload", chaos(runOverload)},
+		{"crashchaos", chaos(runCrashChaos)},
+		{"fleetchaos", chaos(runFleetChaos)},
+		{"rollingchaos", chaos(runRollingChaos)},
 	}
 
 	ran := 0
@@ -281,45 +152,45 @@ func main() {
 		}
 		ran++
 		start := time.Now()
-		render, csv, err := e.run()
+		res, err := e.run()
 		if err != nil {
+			if t, ok := res.(text); ok {
+				fmt.Println(t)
+			}
 			fmt.Fprintf(os.Stderr, "slatebench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
-		fmt.Println(render)
+		fmt.Println(res.Render())
 		fmt.Printf("[%s completed in %.1fs]\n\n", e.name, time.Since(start).Seconds())
-		if *csvDir != "" && csv != "" {
-			if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "slatebench: %v\n", err)
-				os.Exit(1)
-			}
-			path := filepath.Join(*csvDir, e.name+".csv")
-			if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "slatebench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n\n", path)
+		if r, ok := res.(interface{ CSV() string }); ok && *csvDir != "" {
+			writeSeries(*csvDir, e.name+".csv", r.CSV())
 		}
-		if *svgDir != "" && e.svg != nil {
-			if err := os.MkdirAll(*svgDir, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "slatebench: %v\n", err)
-				os.Exit(1)
-			}
-			svg, err := e.svg() // results are cached inside the harness
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "slatebench: %s svg: %v\n", e.name, err)
-				os.Exit(1)
-			}
-			path := filepath.Join(*svgDir, e.name+".svg")
-			if err := os.WriteFile(path, []byte(svg), 0o644); err != nil {
-				fmt.Fprintf(os.Stderr, "slatebench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n\n", path)
+		if r, ok := res.(interface{ SVG() string }); ok && *svgDir != "" {
+			writeSeries(*svgDir, e.name+".svg", r.SVG())
 		}
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "slatebench: unknown experiment %q\n", *exp)
 		os.Exit(2)
 	}
+}
+
+// text is a render that is already a string.
+type text string
+
+func (t text) Render() string { return string(t) }
+
+// writeSeries writes an experiment's CSV or SVG file into dir; it exits on
+// failure.
+func writeSeries(dir, file, data string) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		fmt.Fprintf(os.Stderr, "slatebench: %v\n", err)
+		os.Exit(1)
+	}
+	path := filepath.Join(dir, file)
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		fmt.Fprintf(os.Stderr, "slatebench: %v\n", err)
+		os.Exit(1)
+	}
+	fmt.Printf("wrote %s\n\n", path)
 }

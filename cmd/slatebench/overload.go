@@ -11,8 +11,9 @@
 // circuit opens, a kernel that overruns the wall-clock deadline, and a
 // SIGTERM-style drain raced against in-flight work.
 //
-// Each seed runs twice and the traces must match exactly; on top of PR 1's
-// invariants (daemon survives, registries drain, seeds reproduce) it checks
+// Each seed runs twice and the traces must match exactly; on top of the
+// faults experiment's invariants (daemon survives, registries drain, seeds
+// reproduce) it checks
 // three containment invariants: no queued kernel waits forever, a
 // quarantined offender never occupies more than one partition again, and
 // drain always terminates.
@@ -22,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sort"
 	"strings"
 	"time"
 
@@ -205,37 +207,26 @@ func overloadPhaseA(seed int64, res *overloadResult) error {
 			res.starvedKernels = append(res.starvedKernels, k)
 		}
 	}
+	sort.Strings(res.starvedKernels)
 	return nil
 }
 
 // --- Phase B: wall-clock daemon flood ---
 
-func oGated(name string, gate <-chan struct{}) *kern.Spec {
-	return &kern.Spec{
-		Name: name, Grid: kern.D1(4), BlockDim: kern.D1(32),
-		FLOPsPerBlock: 1e4, InstrPerBlock: 1e4, L2BytesPerBlock: 1e4,
-		ComputeEff: 0.5,
-		Exec:       func(int) { <-gate },
-	}
-}
-
-func oQuick(name string) *kern.Spec {
-	return &kern.Spec{
-		Name: name, Grid: kern.D1(4), BlockDim: kern.D1(32),
-		FLOPsPerBlock: 1e4, InstrPerBlock: 1e4, L2BytesPerBlock: 1e4,
-		ComputeEff: 0.5,
-		Exec:       func(int) {},
-	}
-}
-
-func oSlow(name string, blocks int, perBlock time.Duration) *kern.Spec {
+// oSpec is a small wall-clock kernel whose every block runs exec.
+func oSpec(name string, blocks int, exec func(int)) *kern.Spec {
 	return &kern.Spec{
 		Name: name, Grid: kern.D1(blocks), BlockDim: kern.D1(32),
 		FLOPsPerBlock: 1e4, InstrPerBlock: 1e4, L2BytesPerBlock: 1e4,
-		ComputeEff: 0.5,
-		Exec:       func(int) { time.Sleep(perBlock) },
+		ComputeEff: 0.5, Exec: exec,
 	}
 }
+
+func oGated(name string, gate <-chan struct{}) *kern.Spec {
+	return oSpec(name, 4, func(int) { <-gate })
+}
+
+func oQuick(name string) *kern.Spec { return oSpec(name, 4, func(int) {}) }
 
 // oLabel maps an error to a stable trace label (raw error text can embed
 // nondeterministic detail; sentinel identity cannot).
@@ -336,7 +327,7 @@ func overloadPhaseB(seed int64, res *overloadResult) error {
 		if err != nil {
 			return err
 		}
-		note("crawler", "launch", cli.Launch(oSlow("crawl", 400, 2*time.Millisecond), 1))
+		note("crawler", "launch", cli.Launch(oSpec("crawl", 400, func(int) { time.Sleep(2 * time.Millisecond) }), 1))
 		note("crawler", "sync", cli.Synchronize())
 		note("crawler", "launch-after-timeout", cli.Launch(oQuick("crawl-after"), 1))
 		note("crawler", "close", cli.Close())
@@ -372,10 +363,7 @@ func overloadPhaseB(seed int64, res *overloadResult) error {
 	}
 
 	// Teardown runs after the close replies; wait for the tables to settle.
-	deadline := time.Now().Add(10 * time.Second)
-	for srv.Sessions() != 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	waitSessions(srv, 10*time.Second)
 	res.sessions = srv.Sessions()
 	res.registry = srv.Registry.Len()
 	res.specs = srv.Specs.Len()
@@ -393,73 +381,44 @@ func overloadRun(seed int64) (*overloadResult, error) {
 	return res, nil
 }
 
-// runOverload executes the overload script at two seeds, twice each, and
-// renders the verdict.
+// runOverload executes the overload script twice at each seed of the pair
+// and renders the verdict. The double run compares the scheduler's full
+// decision trace, every daemon outcome and every check; the drain's
+// wall-clock time prints outside the compared text.
 func runOverload(seed int64) (string, error) {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Overload run: seeds=%d,%d (each twice)\n\n", seed, seed+1)
-
-	failed := 0
-	verdict := func(name string, ok bool, format string, args ...any) {
-		mark := "PASS"
-		if !ok {
-			mark = "FAIL"
-			failed++
-		}
-		fmt.Fprintf(&b, "[%s] %-44s (%s)\n", mark, name, fmt.Sprintf(format, args...))
-	}
-
-	for _, s := range []int64{seed, seed + 1} {
-		first, err := overloadRun(s)
+	out, err := doubleRunSeeds(seed, func(s int64) (string, string, error) {
+		r, err := overloadRun(s)
 		if err != nil {
-			return b.String(), err
+			return "", "", err
 		}
-		second, err := overloadRun(s)
-		if err != nil {
-			return b.String(), err
-		}
-
+		var b strings.Builder
 		fmt.Fprintf(&b, "seed %d: %d kernels submitted (virtual), %d scheduler decisions, %d daemon outcomes\n",
-			s, first.submitted, len(first.decisions), len(first.outcomes))
-		for _, o := range first.outcomes {
+			s, r.submitted, len(r.decisions), len(r.outcomes))
+		for _, o := range r.outcomes {
 			fmt.Fprintf(&b, "  %s\n", o)
 		}
-
-		onceEach := len(first.completions) == first.submitted
-		for _, n := range first.completions {
+		onceEach := len(r.completions) == r.submitted
+		for _, n := range r.completions {
 			if n != 1 {
 				onceEach = false
 			}
 		}
-		verdict("every virtual kernel heard back exactly once", onceEach,
-			"%d submitted, %d completed", first.submitted, len(first.completions))
-		verdict("scheduler and engine drained", first.schedQueued == 0 && first.schedRunning == 0 && first.engineRunning == 0,
-			"queued=%d running=%d engine=%d", first.schedQueued, first.schedRunning, first.engineRunning)
-		verdict("both runaways quarantined", len(first.quarantined) == 2,
-			"quarantined=%v", first.quarantined)
-		verdict("no partition occupancy after quarantine", len(first.corunAfterQtn) == 0,
-			"violators=%v", first.corunAfterQtn)
-		verdict("no queued kernel starved (aging bound)", len(first.starvedKernels) == 0,
-			"starved=%v", first.starvedKernels)
-		verdict("daemon sessions drained", first.sessions == 0 && second.sessions == 0,
-			"%d/%d live", first.sessions, second.sessions)
-		verdict("buffer registry and spec table drained",
-			first.registry == 0 && first.specs == 0 && second.registry == 0 && second.specs == 0,
-			"%d/%d buffers, %d/%d specs", first.registry, second.registry, first.specs, second.specs)
-		verdict("drain terminated cleanly (politely, not by force)",
-			first.drainClean && second.drainClean && first.drainMillis < 5000 && second.drainMillis < 5000,
-			"%.0fms/%.0fms", first.drainMillis, second.drainMillis)
-		verdict("same seed, same decision trace",
-			strings.Join(first.decisions, "\n") == strings.Join(second.decisions, "\n"),
-			"%d vs %d decisions", len(first.decisions), len(second.decisions))
-		verdict("same seed, same outcomes",
-			strings.Join(first.outcomes, "\n") == strings.Join(second.outcomes, "\n"),
-			"%d vs %d lines", len(first.outcomes), len(second.outcomes))
-		fmt.Fprintln(&b)
-	}
-
-	if failed > 0 {
-		return b.String(), fmt.Errorf("overload: %d invariant(s) violated", failed)
-	}
-	return b.String(), nil
+		v := verdicts{b: &b}
+		v.check("every virtual kernel heard back exactly once", onceEach,
+			"%d submitted, %d completed", r.submitted, len(r.completions))
+		v.check("scheduler and engine drained", r.schedQueued == 0 && r.schedRunning == 0 && r.engineRunning == 0,
+			"queued=%d running=%d engine=%d", r.schedQueued, r.schedRunning, r.engineRunning)
+		v.check("both runaways quarantined", len(r.quarantined) == 2, "quarantined=%v", r.quarantined)
+		v.check("no partition occupancy after quarantine", len(r.corunAfterQtn) == 0, "violators=%v", r.corunAfterQtn)
+		v.check("no queued kernel starved (aging bound)", len(r.starvedKernels) == 0, "starved=%v", r.starvedKernels)
+		v.check("daemon sessions drained", r.sessions == 0, "%d live", r.sessions)
+		v.check("buffer registry and spec table drained", r.registry == 0 && r.specs == 0,
+			"%d buffers, %d specs", r.registry, r.specs)
+		v.check("drain terminated cleanly (politely, not by force)", r.drainClean && r.drainMillis < 5000,
+			"clean=%v under_5s=%v", r.drainClean, r.drainMillis < 5000)
+		same := strings.Join(r.decisions, "\n") + "\n" + b.String()
+		fmt.Fprintf(&b, "drain took %.0fms\n", r.drainMillis)
+		return b.String(), same, v.err()
+	})
+	return fmt.Sprintf("Overload run: seeds=%d,%d (each twice)\n\n", seed, seed+1) + out, err
 }

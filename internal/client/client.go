@@ -958,6 +958,15 @@ func (c *Client) LaunchStream(spec *kern.Spec, taskSize, stream int) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
+	// A client whose transport already failed sends nothing, and its session
+	// teardown may already have purged its deposits: a spec put now would
+	// never be taken or purged, so fail before depositing.
+	c.mu.Lock()
+	broken := c.broken
+	c.mu.Unlock()
+	if broken != nil {
+		return &opError{op: ipc.OpLaunch, msg: broken.Error(), kind: ErrDaemonDown}
+	}
 	tok := c.specs.PutOwned(spec, c.Session())
 	// The op ID is stamped inside the send critical section (callStamped), so
 	// concurrent launches hit the wire in op-ID order; backpressure retries

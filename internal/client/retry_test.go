@@ -8,6 +8,7 @@ import (
 
 	"slate/internal/daemon"
 	"slate/internal/ipc"
+	"slate/internal/kern"
 )
 
 // DialRetry keeps trying through transient dial failures with backoff and
@@ -123,5 +124,32 @@ func TestVanishedDaemonIsTyped(t *testing.T) {
 	conn.Close() // daemon side gone
 	if _, err := c.Malloc(16); !errors.Is(err, ErrDaemonDown) {
 		t.Fatalf("call on dead transport = %v, want ErrDaemonDown", err)
+	}
+}
+
+// A launch on a client whose transport already failed must not deposit its
+// spec: the session teardown has purged the shared table, so nothing would
+// ever take or purge it.
+func TestLaunchOnDeadTransportLeavesNoSpec(t *testing.T) {
+	srv, dial := daemon.NewLocal(2)
+	conn := dial()
+	c, err := New(conn, "orphaned", WithShared(srv.Registry, srv.Specs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn.Close()
+	if _, err := c.Malloc(16); !errors.Is(err, ErrDaemonDown) {
+		t.Fatalf("call on dead transport = %v, want ErrDaemonDown", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); srv.Sessions() != 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	spec := &kern.Spec{Name: "late", Grid: kern.D1(1), BlockDim: kern.D1(32),
+		FLOPsPerBlock: 1, InstrPerBlock: 1, L2BytesPerBlock: 1, ComputeEff: 0.5, Exec: func(int) {}}
+	if err := c.Launch(spec, 1); !errors.Is(err, ErrDaemonDown) {
+		t.Fatalf("launch on dead transport = %v, want ErrDaemonDown", err)
+	}
+	if n := srv.Specs.Len(); n != 0 {
+		t.Fatalf("spec table holds %d orphaned specs after the session's teardown", n)
 	}
 }
